@@ -371,3 +371,12 @@ BENCHMARK(BM_StackPooledVsVector);
 
 }  // namespace
 }  // namespace sst
+
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::AddCustomContext("build_type", SST_BUILD_TYPE);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

@@ -1,16 +1,11 @@
-// Old-vs-new scanner throughput for the StreamingSelector front-end. The
-// "legacy" scanner below is a faithful copy of the seed implementation: one
-// locale-dependent std::isspace call and (for compact markup) one hash-map
-// Alphabet::Find lookup per input byte, a heap-backed std::string for
-// partial tags, and virtual machine dispatch per event. The rebuilt scanner
-// classifies bytes through precomputed 256-entry tables and, for
-// registerless machines on compact markup, runs the fused ByteTagDfaRunner
-// byte→state table. Chunk sizes sweep 64 B … 1 MB to show the per-chunk
-// overhead amortizing away.
+// Scanner throughput for the StreamingSelector front-end and the engine
+// layers above it. The scanner classifies bytes through precomputed
+// 256-entry tables and, for registerless machines on compact markup, runs
+// the fused ByteTagDfaRunner byte→state table. Chunk sizes sweep 64 B …
+// 1 MB to show the per-chunk overhead amortizing away.
 
 #include <benchmark/benchmark.h>
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +13,7 @@
 #include <map>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -32,10 +28,8 @@
 #include "base/byte_scan.h"
 #include "base/check.h"
 #include "base/match_sink.h"
-#include "base/thread_pool.h"
 #include "bench_util.h"
 #include "dra/byte_runner.h"
-#include "dra/parallel_runner.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
 #include "engine/multi_query.h"
@@ -48,151 +42,6 @@
 
 namespace sst {
 namespace {
-
-// --- Seed scanner (pre-rebuild), kept verbatim as the baseline ----------
-
-class LegacyStreamingSelector {
- public:
-  using Format = StreamingSelector::Format;
-
-  LegacyStreamingSelector(StreamMachine* machine, Format format,
-                          Alphabet* alphabet)
-      : machine_(machine), format_(format), alphabet_(alphabet) {
-    Reset();
-  }
-
-  void Reset() {
-    machine_->Reset();
-    open_labels_.clear();
-    pending_.clear();
-    in_tag_ = false;
-    nodes_ = 0;
-    matches_ = 0;
-    depth_ = 0;
-    saw_root_ = false;
-    failed_ = false;
-  }
-
-  bool Feed(std::string_view chunk) {
-    if (failed_) return false;
-    switch (format_) {
-      case Format::kCompactMarkup:
-        for (char c : chunk) {
-          if (std::isspace(static_cast<unsigned char>(c))) continue;
-          if (c >= 'a' && c <= 'z') {
-            Symbol s = alphabet_->Find(std::string_view(&c, 1));
-            if (s < 0) return Fail();
-            if (!EmitOpen(s)) return false;
-          } else if (c >= 'A' && c <= 'Z') {
-            char lower = static_cast<char>(c - 'A' + 'a');
-            Symbol s = alphabet_->Find(std::string_view(&lower, 1));
-            if (s < 0) return Fail();
-            if (!EmitClose(s)) return false;
-          } else {
-            return Fail();
-          }
-        }
-        return true;
-      case Format::kCompactTerm:
-        for (char c : chunk) {
-          if (std::isspace(static_cast<unsigned char>(c))) continue;
-          if (!pending_.empty()) {
-            if (c != '{') return Fail();
-            Symbol s = alphabet_->Find(pending_);
-            pending_.clear();
-            if (s < 0) return Fail();
-            if (!EmitOpen(s)) return false;
-            continue;
-          }
-          if (c == '}') {
-            if (!EmitClose(-1)) return false;
-          } else if (std::isalnum(static_cast<unsigned char>(c)) ||
-                     c == '_' || c == '-') {
-            if (pending_.size() >= 256) return Fail();
-            pending_.push_back(c);
-          } else {
-            return Fail();
-          }
-        }
-        return true;
-      case Format::kXmlLite:
-        for (char c : chunk) {
-          if (!in_tag_) {
-            if (std::isspace(static_cast<unsigned char>(c))) continue;
-            if (c != '<') return Fail();
-            in_tag_ = true;
-            pending_.clear();
-            continue;
-          }
-          if (c != '>') {
-            if (pending_.size() >= 256) return Fail();
-            pending_.push_back(c);
-            continue;
-          }
-          in_tag_ = false;
-          if (pending_.empty()) return Fail();
-          bool closing = pending_[0] == '/';
-          std::string_view name(pending_);
-          if (closing) name.remove_prefix(1);
-          if (name.empty()) return Fail();
-          Symbol s = alphabet_->Find(name);
-          if (s < 0) return Fail();
-          bool ok = closing ? EmitClose(s) : EmitOpen(s);
-          pending_.clear();
-          if (!ok) return false;
-        }
-        return true;
-    }
-    return Fail();
-  }
-
-  bool Finish() {
-    if (failed_ || in_tag_ || !pending_.empty()) return false;
-    return saw_root_ && depth_ == 0;
-  }
-
-  int64_t matches() const { return matches_; }
-
- private:
-  bool Fail() {
-    failed_ = true;
-    return false;
-  }
-
-  bool EmitOpen(Symbol symbol) {
-    if (depth_ == 0 && saw_root_) return Fail();
-    saw_root_ = true;
-    ++depth_;
-    open_labels_.push_back(symbol);
-    machine_->OnOpen(symbol);
-    if (machine_->InAcceptingState()) ++matches_;
-    ++nodes_;
-    return true;
-  }
-
-  bool EmitClose(Symbol symbol) {
-    if (open_labels_.empty()) return Fail();
-    if (symbol >= 0 && open_labels_.back() != symbol) return Fail();
-    open_labels_.pop_back();
-    --depth_;
-    machine_->OnClose(symbol);
-    return true;
-  }
-
-  StreamMachine* machine_;
-  Format format_;
-  Alphabet* alphabet_;
-  std::vector<Symbol> open_labels_;
-  std::string pending_;
-  bool in_tag_ = false;
-  int64_t nodes_ = 0;
-  int64_t matches_ = 0;
-  int64_t depth_ = 0;
-  bool saw_root_ = false;
-  bool failed_ = false;
-};
-
-// ------------------------------------------------------------------------
 
 using Format = StreamingSelector::Format;
 
@@ -225,7 +74,7 @@ const char* FormatName(Format format) {
   return "?";
 }
 
-// Hides the TagDfa export, forcing the rebuilt scanner onto its generic
+// Hides the TagDfa export, forcing the scanner onto its generic
 // (virtual-dispatch) path — isolates table-driven lexing from the fused
 // byte-table gain.
 class OpaqueMachine final : public StreamMachine {
@@ -265,7 +114,7 @@ struct BenchSetup {
         machine(&evaluator) {}
 };
 
-void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
+void RunScanBench(benchmark::State& state, bool opaque) {
   Format format = static_cast<Format>(state.range(0));
   size_t chunk_size = static_cast<size_t>(state.range(1));
   BenchSetup setup(format == Format::kCompactTerm);
@@ -274,18 +123,10 @@ void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
   StreamMachine* machine =
       opaque ? static_cast<StreamMachine*>(&hidden) : &setup.machine;
   int64_t matches = 0;
-  if (legacy) {
-    LegacyStreamingSelector selector(machine, format, &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
-  } else {
-    StreamingSelector selector(machine, format, &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
+  StreamingSelector selector(machine, format, &setup.alphabet);
+  for (auto _ : state) {
+    matches = DriveChunked(selector, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
   }
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
@@ -296,18 +137,14 @@ void RunScanBench(benchmark::State& state, bool legacy, bool opaque) {
   state.SetLabel(label);
 }
 
-void BM_LegacyScanner(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/true, /*opaque=*/false);
-}
-
 void BM_RebuiltScanner(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/false, /*opaque=*/false);
+  RunScanBench(state, /*opaque=*/false);
 }
 
 // Table-driven lexing only (fused byte table disabled) — how much of the
 // win is the lexer vs. the fused transition table.
 void BM_RebuiltScannerGenericPath(benchmark::State& state) {
-  RunScanBench(state, /*legacy=*/false, /*opaque=*/true);
+  RunScanBench(state, /*opaque=*/true);
 }
 
 // Robustness guards on: finite StreamLimits plus the skip-recovery
@@ -347,16 +184,14 @@ const std::vector<std::vector<int64_t>> kArgs = {
     {64, 1024, 65536, 1 << 20},             // chunk size
 };
 
-BENCHMARK(BM_LegacyScanner)->ArgsProduct(kArgs);
 BENCHMARK(BM_RebuiltScanner)->ArgsProduct(kArgs);
 BENCHMARK(BM_RebuiltScannerGenericPath)
     ->ArgsProduct({{0}, {64, 1024, 65536, 1 << 20}});
 BENCHMARK(BM_RebuiltScannerGuarded)->ArgsProduct(kArgs);
 
 // --- Whitespace-padded XML: the SIMD/SWAR bulk-skip showcase ------------
-// Pretty-printed XML is mostly indentation; the rebuilt scanner jumps
-// whitespace runs 64 bytes at a time (base/byte_scan.h) and memchr-scans
-// tag bodies, while the legacy scanner touches every byte.
+// Pretty-printed XML is mostly indentation; the scanner jumps whitespace
+// runs 64 bytes at a time (base/byte_scan.h) and memchr-scans tag bodies.
 
 std::string PaddedXmlBytes() {
   Alphabet alphabet = Alphabet::FromLetters("abc");
@@ -376,55 +211,30 @@ std::string PaddedXmlBytes() {
   return out;
 }
 
-void RunPaddedXmlBench(benchmark::State& state, bool legacy) {
+void BM_RebuiltScannerPaddedXml(benchmark::State& state) {
   BenchSetup setup(false);
   std::string bytes = PaddedXmlBytes();
   size_t chunk_size = 65536;
   int64_t matches = 0;
-  if (legacy) {
-    LegacyStreamingSelector selector(&setup.machine, Format::kXmlLite,
-                                     &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
-  } else {
-    StreamingSelector selector(&setup.machine, Format::kXmlLite,
-                               &setup.alphabet);
-    for (auto _ : state) {
-      matches = DriveChunked(selector, bytes, chunk_size);
-      benchmark::DoNotOptimize(matches);
-    }
+  StreamingSelector selector(&setup.machine, Format::kXmlLite,
+                             &setup.alphabet);
+  for (auto _ : state) {
+    matches = DriveChunked(selector, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
   }
   SST_CHECK(matches >= 0);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(bytes.size()));
   state.counters["matches"] = static_cast<double>(matches);
-  std::string label = "xmlpad/";
-  label += legacy ? "legacy" : "rebuilt";
-  label += "/kernel=";
-  label += ByteScanKernelName();
-  state.SetLabel(label);
+  state.SetLabel(std::string("xmlpad/rebuilt/kernel=") + ByteScanKernelName());
 }
 
-void BM_LegacyScannerPaddedXml(benchmark::State& state) {
-  RunPaddedXmlBench(state, /*legacy=*/true);
-}
-
-void BM_RebuiltScannerPaddedXml(benchmark::State& state) {
-  RunPaddedXmlBench(state, /*legacy=*/false);
-}
-
-BENCHMARK(BM_LegacyScannerPaddedXml);
 BENCHMARK(BM_RebuiltScannerPaddedXml);
 
-// --- Parallel speculative DFA execution vs the sequential fused table ---
+// --- The sequential fused table on large documents ---------------------
 // Inputs are large balanced documents: copies of the 1 MiB random document
 // nested under a single root, so 64 MB of compact markup stays one
-// well-formed tree. The parallel runner splits into threads * 4 chunks,
-// runs chunks 1.. speculatively from every state, and folds the per-chunk
-// state maps; the result is checked against the sequential count each
-// iteration.
+// well-formed tree.
 
 const std::string& TiledMarkup(size_t target_bytes) {
   static std::map<size_t, std::string>* cache =
@@ -455,36 +265,7 @@ void BM_SequentialFusedRunner(benchmark::State& state) {
   state.SetLabel("seq/" + std::to_string(mib) + "MiB");
 }
 
-void BM_ParallelSpeculativeRunner(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  size_t mib = static_cast<size_t>(state.range(1));
-  BenchSetup setup(false);
-  ByteTagDfaRunner runner(setup.evaluator);
-  ThreadPool pool(threads);
-  ParallelTagDfaRunner parallel(&runner, &pool);
-  const std::string& bytes = TiledMarkup(mib << 20);
-  const int chunks = threads * 4;
-  const int64_t expected = runner.CountSelections(bytes);
-  const int expected_state = runner.FinalState(bytes);
-  for (auto _ : state) {
-    ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-    SST_CHECK(result.selections == expected);
-    SST_CHECK(result.final_state == expected_state);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-  state.counters["threads"] = threads;
-  state.counters["matches"] = static_cast<double>(expected);
-  state.SetLabel("par/threads=" + std::to_string(threads) + "/" +
-                 std::to_string(mib) + "MiB");
-}
-
 BENCHMARK(BM_SequentialFusedRunner)->Arg(16)->Arg(64);
-BENCHMARK(BM_ParallelSpeculativeRunner)
-    ->ArgsProduct({{1, 2, 4, 8}, {16, 64}})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // --- Engine layer: compile-once/run-many amortization -------------------
 // The cost ladder the engine is built around, one rung per benchmark:
@@ -560,21 +341,23 @@ void BM_SharedPlanStreaming(benchmark::State& state) {
   auto plan = QueryPlan::Compile(Rpq::FromXPath("/a//b", alphabet),
                                  PlanOptions{});
   SessionPool session_pool(plan, static_cast<size_t>(threads));
-  ThreadPool pool(threads);
   const std::string& bytes = TiledMarkup(size_t{4} << 20);
   constexpr size_t kChunk = 65536;
+  auto lane = [&] {
+    auto session = session_pool.Acquire();
+    session->Reset();
+    bool ok = true;
+    for (size_t i = 0; ok && i < bytes.size(); i += kChunk) {
+      ok = session->Feed(std::string_view(bytes).substr(i, kChunk));
+    }
+    SST_CHECK(ok && session->Finish());
+    benchmark::DoNotOptimize(session->matches());
+    session_pool.Release(std::move(session));
+  };
   for (auto _ : state) {
-    pool.Run(threads, [&](int) {
-      auto session = session_pool.Acquire();
-      session->Reset();
-      bool ok = true;
-      for (size_t i = 0; ok && i < bytes.size(); i += kChunk) {
-        ok = session->Feed(std::string_view(bytes).substr(i, kChunk));
-      }
-      SST_CHECK(ok && session->Finish());
-      benchmark::DoNotOptimize(session->matches());
-      session_pool.Release(std::move(session));
-    });
+    std::vector<std::thread> lanes;
+    for (int t = 0; t < threads; ++t) lanes.emplace_back(lane);
+    for (std::thread& t : lanes) t.join();
   }
   state.SetBytesProcessed(state.iterations() * threads *
                           static_cast<int64_t>(bytes.size()));
@@ -975,36 +758,7 @@ void BM_SequentialFusedRunnerPadded(benchmark::State& state) {
                  ByteScanKernelName());
 }
 
-void BM_ParallelSpeculativeRunnerPadded(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  size_t mib = static_cast<size_t>(state.range(1));
-  BenchSetup setup(false);
-  ByteTagDfaRunner runner(setup.evaluator);
-  ThreadPool pool(threads);
-  ParallelTagDfaRunner parallel(&runner, &pool);
-  const std::string& bytes = TiledPaddedMarkup(mib << 20);
-  const int chunks = threads * 4;
-  const int64_t expected = runner.CountSelections(bytes);
-  const int expected_state = runner.FinalState(bytes);
-  for (auto _ : state) {
-    ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-    SST_CHECK(result.selections == expected);
-    SST_CHECK(result.final_state == expected_state);
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(bytes.size()));
-  state.counters["threads"] = threads;
-  state.counters["matches"] = static_cast<double>(expected);
-  state.SetLabel("par-pad/threads=" + std::to_string(threads) + "/" +
-                 std::to_string(mib) + "MiB");
-}
-
 BENCHMARK(BM_SequentialFusedRunnerPadded)->Arg(16)->Arg(64);
-BENCHMARK(BM_ParallelSpeculativeRunnerPadded)
-    ->ArgsProduct({{1, 2, 4, 8}, {16}})
-    ->MeasureProcessCPUTime()
-    ->UseRealTime();
 
 // Mixed multi-query batch: registerless members on the eager sub-product,
 // stackless members stepping their fused DRAs, all in ONE scan — vs the
@@ -1341,11 +1095,7 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::AddCustomContext("byte_scan_kernel", sst::ByteScanKernelName());
-#ifdef NDEBUG
-  benchmark::AddCustomContext("build_type", "Release");
-#else
-  benchmark::AddCustomContext("build_type", "Debug");
-#endif
+  benchmark::AddCustomContext("build_type", SST_BUILD_TYPE);
   if (corpus_path != nullptr) {
     RegisterCorpusBenches(MapCorpus(corpus_path));
   }

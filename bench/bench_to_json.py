@@ -20,10 +20,11 @@ def compact(raw):
             "num_cpus": ctx.get("num_cpus"),
             "mhz_per_cpu": ctx.get("mhz_per_cpu"),
             "library_build_type": ctx.get("library_build_type"),
-            # Custom context from bench_streaming's main(): which stage-1
-            # SIMD kernel the runtime dispatch picked, and the build type
-            # of the benchmark binary itself (library_build_type above is
-            # the benchmark *library*'s).
+            # Custom context: which stage-1 SIMD kernel the runtime
+            # dispatch picked (bench_streaming), and the CMAKE_BUILD_TYPE
+            # the measured binary was compiled under (bench_streaming,
+            # bench_incremental, load_client). library_build_type above is
+            # the benchmark *library*'s, not ours.
             "byte_scan_kernel": ctx.get("byte_scan_kernel"),
             "build_type": ctx.get("build_type"),
         },

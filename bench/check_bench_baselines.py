@@ -19,6 +19,11 @@ benchmark computes itself, like bench_incremental's speedup_vs_rescan
 (incremental edits must beat a full rescan by >= 10x). Any section may
 be absent; a file may carry only counter_floors.
 
+An artifact whose context does not record build_type "Release" (the
+CMAKE_BUILD_TYPE the bench binary was compiled under) is refused before
+any row is compared: figures from an unoptimised or debug-info build are
+not comparable with the committed baselines.
+
 Usage:
   check_bench_baselines.py [--artifact BENCH_streaming.json]
                            [--baselines bench/bench_baselines.json]
@@ -41,6 +46,13 @@ def main():
         artifact = json.load(handle)
     with open(args.baselines) as handle:
         baselines = json.load(handle)
+
+    build_type = artifact.get("context", {}).get("build_type")
+    if build_type != "Release":
+        print(f"FAIL: {args.artifact} was measured on build type "
+              f"{build_type!r}; only Release artifacts are checked",
+              file=sys.stderr)
+        sys.exit(1)
 
     measured = {
         bench["name"]: bench.get("mib_per_second")

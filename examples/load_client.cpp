@@ -496,7 +496,7 @@ void WriteJson(const Config& config, const Totals& totals, double wall_s,
   std::fprintf(file,
                "{\n"
                " \"context\": {\"date\": \"%s\", \"host_name\": \"%s\","
-               " \"num_cpus\": %ld, \"build_type\": \"release\"},\n"
+               " \"num_cpus\": %ld, \"build_type\": \"%s\"},\n"
                " \"benchmarks\": [\n"
                "  {\"name\": \"serving/loopback/conns:%d/batch:%d\","
                " \"run_type\": \"iteration\", \"iterations\": %lld,"
@@ -510,7 +510,7 @@ void WriteJson(const Config& config, const Totals& totals, double wall_s,
                " \"match_p50_ms\": %.3f, \"match_p99_ms\": %.3f}\n"
                " ]\n"
                "}\n",
-               date, host, sysconf(_SC_NPROCESSORS_ONLN),
+               date, host, sysconf(_SC_NPROCESSORS_ONLN), SST_BUILD_TYPE,
                config.connections, config.batch, docs, per_doc_ns,
                per_doc_ns, mib_per_s * 1024.0 * 1024.0,
                docs / wall_s, config.connections, docs, p50, p99,

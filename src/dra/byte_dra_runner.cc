@@ -71,15 +71,6 @@ DraConfig ByteDraRunner::InitialConfig() const {
   return config;
 }
 
-DraConfig ByteDraRunner::FinalConfig(std::string_view bytes) const {
-  DraConfig config = InitialConfig();
-  ForEachStructural(bytes.data(), bytes.size(),
-                    [&](size_t i) {
-                      Next(&config, static_cast<unsigned char>(bytes[i]));
-                    });
-  return config;
-}
-
 int64_t ByteDraRunner::CountSelectionsPerByte(std::string_view bytes) const {
   DraConfig config = InitialConfig();
   int64_t selected = 0;
@@ -102,9 +93,9 @@ int64_t ByteDraRunner::CountSelectionsPerByte(std::string_view bytes) const {
 int64_t ByteDraRunner::CountSelections(std::string_view bytes) const {
   DraConfig config = InitialConfig();
   int64_t selected = 0;
-  // Structural-index walk: whitespace gaps leave the configuration and the
-  // count untouched (text_run_trivial() by construction), so the automaton
-  // only ever sees structural bytes.
+  // Structural-index walk: whitespace is neither an opening nor a closing
+  // letter, so gaps leave the configuration and the count untouched and
+  // the automaton only ever sees structural bytes.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
@@ -140,9 +131,8 @@ int64_t ByteDraRunner::CollectMatches(std::string_view bytes, MatchSink* sink,
   recorder.set_max_pending(max_pending);
   DraCollectState st;
   st.config = InitialConfig();
-  // Structural-index walk is sound unconditionally (text_run_trivial()):
-  // whitespace touches neither the configuration, the framing depth, nor
-  // any event offset.
+  // Structural-index walk: whitespace touches neither the configuration,
+  // the framing depth, nor any event offset.
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     if (byte >= 'a' && byte <= 'z') {
@@ -197,10 +187,6 @@ int64_t ByteDraRunner::CollectMatchesPerByte(std::string_view bytes,
   }
   recorder.FlushTruncated();
   return st.selected;
-}
-
-bool ByteDraRunner::Accepts(std::string_view bytes) const {
-  return accepting_[FinalConfig(bytes).state] != 0;
 }
 
 ValidatedRun ByteDraRunner::RunValidated(std::string_view bytes,

@@ -55,7 +55,8 @@ class ByteDraRunner {
   // letter self-loop and leave the configuration untouched; unknown
   // *lowercase* letters still sample acceptance — ByteTagDfaRunner parity.
   // Runs over the SIMD structural index: whitespace gaps are skipped in
-  // bulk (sound unconditionally here — see text_run_trivial()).
+  // bulk. That is sound for every DRA: a whitespace byte is no tag letter,
+  // so it never indexes the table and leaves the configuration untouched.
   int64_t CountSelections(std::string_view bytes) const;
 
   // Per-byte reference loop (no structural index): the oracle the parity
@@ -67,8 +68,8 @@ class ByteDraRunner {
   // its opening letter (the earliest certain offset) and completed at the
   // matching close; see ByteTagDfaRunner::CollectMatches for the exact
   // semantics (framing depth counter, truncated spans, `max_pending`
-  // bound). Indexed walk is sound unconditionally here
-  // (text_run_trivial()); CollectMatchesPerByte is the per-byte oracle.
+  // bound). Runs over the structural index like CountSelections;
+  // CollectMatchesPerByte is the per-byte oracle.
   int64_t CollectMatches(std::string_view bytes, MatchSink* sink,
                          int64_t max_pending = MatchRecorder::kUnlimited)
       const;
@@ -76,26 +77,11 @@ class ByteDraRunner {
                                 int64_t max_pending =
                                     MatchRecorder::kUnlimited) const;
 
-  // Text-run closure of this runner, trivially: a whitespace byte is
-  // neither an opening nor a closing letter, so Next() leaves the
-  // configuration untouched (identity fixpoint) and the sampling predicate
-  // ('a'..'z' only) never counts it (zero coefficient). Unlike
-  // ByteTagDfaRunner there is no 256-wide row that could disagree — text
-  // bytes never index the table at all — so the closure is exact and
-  // trivial by construction for every DRA.
-  bool text_run_trivial() const { return true; }
-
-  // Final-configuration acceptance after the whole stream.
-  bool Accepts(std::string_view bytes) const;
-
   // Well-formedness-validated whole-document run with StreamingSelector's
   // fail-fast compact-markup semantics: same first StreamError at the
   // same byte offset, same partial counters (see ByteTagDfaRunner).
   ValidatedRun RunValidated(std::string_view bytes,
                             const StreamLimits& limits = {}) const;
-
-  // Configuration reached from the initial configuration.
-  DraConfig FinalConfig(std::string_view bytes) const;
 
   // Incremental stepping for chunked scanners. The config is the caller's
   // per-stream state; the runner itself stays immutable and shareable.

@@ -68,43 +68,15 @@ void ByteTagDfaRunner::BuildTable(const TagDfa& dfa,
   } else {
     FillTable(&table32_, dfa, byte_symbol);
   }
-  ComputeTextClosure();
-}
-
-void ByteTagDfaRunner::ComputeTextClosure() {
-  static constexpr unsigned char kWsProbe[] = {' ', '\t', '\n',
-                                               '\v', '\f', '\r'};
-  text_fix_.assign(static_cast<size_t>(num_states_), 0);
-  text_coeff_.assign(static_cast<size_t>(num_states_), 0);
-  bool uniform = true;
-  text_run_trivial_ = true;
+  // The indexed loops skip whitespace wholesale, which is sound because
+  // every state self-loops on it (the fills above never give a whitespace
+  // byte a transition). Checked here so a change to the fill cannot
+  // silently corrupt the structural-index walk.
   for (int q = 0; q < num_states_; ++q) {
-    const int next = Step(q, kWsProbe[0]);
-    // Per-byte selection coefficient of a text byte entered from q: the
-    // sampling predicate counts only opening bytes 'a'..'z', which no
-    // whitespace byte is, so this is derived as zero — derived, not
-    // assumed, so a change to either the table fill or the sampling rule
-    // trips the closure flags instead of silently corrupting gap math.
-    const int coeff = static_cast<int>((kWsProbe[0] >= 'a') &
-                                       (kWsProbe[0] <= 'z') &
-                                       accepting_[static_cast<size_t>(next)]);
-    for (unsigned char w : kWsProbe) {
-      const int step = Step(q, w);
-      const int c = static_cast<int>((w >= 'a') & (w <= 'z') &
-                                     accepting_[static_cast<size_t>(step)]);
-      if (step != next || c != coeff) uniform = false;
+    for (unsigned char w : {' ', '\t', '\n', '\v', '\f', '\r'}) {
+      SST_CHECK(Step(q, w) == q);
     }
-    text_fix_[static_cast<size_t>(q)] = next;
-    text_coeff_[static_cast<size_t>(q)] = coeff;
-    if (next != q || coeff != 0) text_run_trivial_ = false;
   }
-  bool idempotent = true;
-  for (int q = 0; q < num_states_; ++q) {
-    const int f = text_fix_[static_cast<size_t>(q)];
-    if (text_fix_[static_cast<size_t>(f)] != f) idempotent = false;
-  }
-  text_run_exact_ = uniform && idempotent;
-  if (!text_run_exact_) text_run_trivial_ = false;
 }
 
 template <typename T>
@@ -134,44 +106,16 @@ int64_t ByteTagDfaRunner::CountSelectionsIndexed(const T* table,
                                                  std::string_view bytes) const {
   int state = initial_;
   int64_t selected = 0;
-  if (text_run_trivial_) {
-    // Whitespace gaps are full no-ops: the stage-1 index walks straight to
-    // the structural bytes and the automaton never sees the rest.
-    ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-      unsigned char byte = static_cast<unsigned char>(bytes[i]);
-      state = table[static_cast<size_t>(state) * 256 + byte];
-      selected += static_cast<int64_t>((byte >= 'a') & (byte <= 'z') &
-                                       accepting_[state]);
-    });
-    return selected;
-  }
-  // Exact but non-trivial closure: each gap of g text bytes collapses to
-  // one fixpoint step and a multiplied coefficient.
-  size_t prev = static_cast<size_t>(-1);
   ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    size_t gap = i - prev - 1;
-    if (gap > 0) {
-      selected += text_coeff_[state];
-      state = text_fix_[state];
-      selected += static_cast<int64_t>(gap - 1) * text_coeff_[state];
-    }
-    prev = i;
     unsigned char byte = static_cast<unsigned char>(bytes[i]);
     state = table[static_cast<size_t>(state) * 256 + byte];
     selected += static_cast<int64_t>((byte >= 'a') & (byte <= 'z') &
                                      accepting_[state]);
   });
-  size_t tail = bytes.size() - prev - 1;
-  if (tail > 0) {
-    selected += text_coeff_[state];
-    state = text_fix_[state];
-    selected += static_cast<int64_t>(tail - 1) * text_coeff_[state];
-  }
   return selected;
 }
 
 int64_t ByteTagDfaRunner::CountSelections(std::string_view bytes) const {
-  if (!text_run_exact_) return CountSelectionsPerByte(bytes);
   return uses_compact_table() ? CountSelectionsIndexed(table16_.data(), bytes)
                               : CountSelectionsIndexed(table32_.data(), bytes);
 }
@@ -206,9 +150,8 @@ int64_t ByteTagDfaRunner::CollectMatchesImpl(const T* table,
     }
   };
   if (indexed) {
-    // Sound only under a trivial text-run closure (the gate in
-    // CollectMatches): whitespace gaps touch neither the state nor the
-    // framing, so skipping them changes no event and no offset.
+    // Whitespace gaps touch neither the state nor the framing, so skipping
+    // them changes no event and no offset.
     ForEachStructural(bytes.data(), bytes.size(), step);
   } else {
     for (size_t i = 0; i < bytes.size(); ++i) step(i);
@@ -225,10 +168,9 @@ int64_t ByteTagDfaRunner::CollectMatches(std::string_view bytes,
   MatchRecorder recorder;
   recorder.set_sink(sink);
   recorder.set_max_pending(max_pending);
-  const bool indexed = text_run_trivial_;
   return uses_compact_table()
-             ? CollectMatchesImpl(table16_.data(), bytes, &recorder, indexed)
-             : CollectMatchesImpl(table32_.data(), bytes, &recorder, indexed);
+             ? CollectMatchesImpl(table16_.data(), bytes, &recorder, true)
+             : CollectMatchesImpl(table32_.data(), bytes, &recorder, true);
 }
 
 int64_t ByteTagDfaRunner::CollectMatchesPerByte(std::string_view bytes,
@@ -240,55 +182,6 @@ int64_t ByteTagDfaRunner::CollectMatchesPerByte(std::string_view bytes,
   return uses_compact_table()
              ? CollectMatchesImpl(table16_.data(), bytes, &recorder, false)
              : CollectMatchesImpl(table32_.data(), bytes, &recorder, false);
-}
-
-template <typename T>
-int ByteTagDfaRunner::FinalStateImpl(const T* table,
-                                     std::string_view bytes) const {
-  int state = initial_;
-  for (unsigned char byte : bytes) {
-    state = table[static_cast<size_t>(state) * 256 + byte];
-  }
-  return state;
-}
-
-int ByteTagDfaRunner::FinalStatePerByte(std::string_view bytes) const {
-  return uses_compact_table() ? FinalStateImpl(table16_.data(), bytes)
-                              : FinalStateImpl(table32_.data(), bytes);
-}
-
-int ByteTagDfaRunner::FinalState(std::string_view bytes) const {
-  if (!text_run_exact_) return FinalStatePerByte(bytes);
-  int state = initial_;
-  size_t prev = static_cast<size_t>(-1);
-  if (text_run_trivial_) {
-    // Gaps are identity on the state; only structural bytes step.
-    if (uses_compact_table()) {
-      const uint16_t* table = table16_.data();
-      ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-        state = table[static_cast<size_t>(state) * 256 +
-                      static_cast<unsigned char>(bytes[i])];
-      });
-    } else {
-      const int32_t* table = table32_.data();
-      ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-        state = table[static_cast<size_t>(state) * 256 +
-                      static_cast<unsigned char>(bytes[i])];
-      });
-    }
-    return state;
-  }
-  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-    if (i - prev - 1 > 0) state = text_fix_[state];
-    prev = i;
-    state = Step(state, static_cast<unsigned char>(bytes[i]));
-  });
-  if (bytes.size() - prev - 1 > 0) state = text_fix_[state];
-  return state;
-}
-
-bool ByteTagDfaRunner::Accepts(std::string_view bytes) const {
-  return accepting_[FinalState(bytes)] != 0;
 }
 
 ValidatedRun ByteTagDfaRunner::RunValidated(std::string_view bytes,
@@ -315,7 +208,7 @@ ValidatedRun ByteTagDfaRunner::RunValidated(std::string_view bytes,
   };
   // Validation treats whitespace as pure identity (no step, no error, no
   // count), so iterating the structural index is byte-identical to the
-  // per-byte scan — including every error offset — with no closure gate.
+  // per-byte scan — including every error offset.
   StructuralIterator structural(bytes.data(), scan_end);
   for (size_t i = structural.Next(); i < scan_end; i = structural.Next()) {
     unsigned char byte = static_cast<unsigned char>(bytes[i]);

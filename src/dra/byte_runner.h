@@ -45,16 +45,16 @@ class ByteTagDfaRunner {
 
   // Streams the bytes; returns the number of pre-selected nodes (accepting
   // states entered on opening bytes 'a'..'z'; all other bytes self-loop and
-  // never count). Runs over the structural index when the text-run closure
-  // allows (see below): the SIMD stage-1 scan classifies 64 bytes at a
-  // time and the table walk touches only structural bytes, advancing each
-  // whitespace gap in O(1) with the per-state closure.
+  // never count). Runs over the structural index: the SIMD stage-1 scan
+  // classifies 64 bytes at a time and the table walk touches only
+  // structural bytes. Skipping whitespace is sound because every state
+  // self-loops on the six ASCII whitespace bytes, which the constructor
+  // checks.
   int64_t CountSelections(std::string_view bytes) const;
 
   // The per-byte reference loop (one table load per input byte, no
-  // structural index). This is both the fallback for tables whose text-run
-  // closure is not exact and the oracle the parity tests diff the indexed
-  // paths against.
+  // structural index): the oracle the parity tests diff the indexed path
+  // against.
   int64_t CountSelectionsPerByte(std::string_view bytes) const;
 
   // CountSelections with byte-span position tracking: every pre-selected
@@ -63,9 +63,8 @@ class ByteTagDfaRunner {
   // completes at the matching closing letter (tracked with a depth
   // counter; the pending buffer is bounded by `max_pending`, overflow and
   // end-of-input spans report end_offset -1). Runs over the structural
-  // index when the text-run closure is trivial and falls back to the
-  // per-byte oracle loop otherwise; CollectMatchesPerByte is that oracle,
-  // exposed for the differential tests. Both produce the same events at
+  // index; CollectMatchesPerByte is the per-byte oracle, exposed for the
+  // differential tests. Both produce the same events at
   // the same offsets in the same order, and the same count as
   // CountSelections. Framing is not validated (CountSelections
   // semantics): unmatched closes at depth 0 are ignored.
@@ -75,9 +74,6 @@ class ByteTagDfaRunner {
   int64_t CollectMatchesPerByte(std::string_view bytes, MatchSink* sink,
                                 int64_t max_pending =
                                     MatchRecorder::kUnlimited) const;
-
-  // Final-state acceptance after the whole stream.
-  bool Accepts(std::string_view bytes) const;
 
   // Well-formedness-validated whole-document run: same selection counting
   // as CountSelections, but the input framing is checked byte for byte
@@ -90,29 +86,6 @@ class ByteTagDfaRunner {
   ValidatedRun RunValidated(std::string_view bytes,
                             const StreamLimits& limits = {}) const;
 
-  // State reached from the initial state after the whole stream (the
-  // sequential reference the parallel runner must reproduce).
-  int FinalState(std::string_view bytes) const;
-  int FinalStatePerByte(std::string_view bytes) const;
-
-  // Text-run closure (computed from the table at construction, not
-  // assumed): for each state q, the fixpoint state text_fixpoint(q) that a
-  // run of non-structural (whitespace) bytes converges to, and the
-  // per-byte selection coefficient text_coeff(q) such a run accrues. The
-  // closure is *exact* when every state steps uniformly across the six
-  // whitespace bytes and the step is idempotent — then a gap of g > 0 text
-  // bytes is equivalent to: count += coeff(q) + (g-1)*coeff(fix(q));
-  // q = fix(q). It is *trivial* when additionally fix(q) == q and the
-  // coefficient is zero for every q — then gaps need no work at all. The
-  // tables this runner builds are trivial by construction (non-letter
-  // bytes self-loop and only 'a'..'z' samples acceptance); the flags keep
-  // that a checked property rather than a silent assumption, and the
-  // indexed fast paths gate on them with the per-byte loop as fallback.
-  bool text_run_trivial() const { return text_run_trivial_; }
-  bool text_run_exact() const { return text_run_exact_; }
-  int text_fixpoint(int state) const { return text_fix_[state]; }
-  int text_coeff(int state) const { return text_coeff_[state]; }
-
   // Incremental stepping for chunked scanners.
   int initial_state() const { return initial_; }
   int Next(int state, unsigned char byte) const { return Step(state, byte); }
@@ -124,9 +97,9 @@ class ByteTagDfaRunner {
 
   int num_states() const { return num_states_; }
 
-  // Raw storage access for the speculative parallel runner and benchmarks:
-  // exactly one of table16()/table32() is non-null, matching
-  // uses_compact_table(). Rows are 256 entries wide.
+  // Raw storage access for MultiTagDfaRunner's fused product scan: exactly
+  // one of table16()/table32() is non-null, matching uses_compact_table().
+  // Rows are 256 entries wide.
   bool uses_compact_table() const { return !table16_.empty(); }
   const uint16_t* table16() const {
     return table16_.empty() ? nullptr : table16_.data();
@@ -134,11 +107,9 @@ class ByteTagDfaRunner {
   const int32_t* table32() const {
     return table32_.empty() ? nullptr : table32_.data();
   }
-  const uint8_t* accepting_bytes() const { return accepting_.data(); }
 
  private:
   void BuildTable(const TagDfa& dfa, const Symbol* byte_symbol);
-  void ComputeTextClosure();
 
   int Step(int state, unsigned char byte) const {
     size_t index = static_cast<size_t>(state) * 256 + byte;
@@ -155,19 +126,12 @@ class ByteTagDfaRunner {
   template <typename T>
   int64_t CollectMatchesImpl(const T* table, std::string_view bytes,
                              MatchRecorder* recorder, bool indexed) const;
-  template <typename T>
-  int FinalStateImpl(const T* table, std::string_view bytes) const;
 
   int num_states_;
   int initial_;
   std::vector<uint16_t> table16_;  // num_states * 256 when < 65536 states
   std::vector<int32_t> table32_;   // num_states * 256 otherwise
   std::vector<uint8_t> accepting_;
-  // Text-run closure, indexed by state (see the accessors above).
-  std::vector<int32_t> text_fix_;
-  std::vector<int32_t> text_coeff_;
-  bool text_run_trivial_ = false;
-  bool text_run_exact_ = false;
   // byte → symbol of the construction convention; -1 for bytes that are
   // not a known opening/closing letter. Only RunValidated consults it.
   std::array<Symbol, 256> byte_symbol_;

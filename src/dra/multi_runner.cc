@@ -299,26 +299,12 @@ void MultiTagDfaRunner::CountSelectionsFused(
       }
     }
   };
-  if (eager_fused_->text_run_trivial()) {
-    // Structural-index walk: the product table's whitespace rows self-loop
-    // and never count (trivial text-run closure, checked at construction),
-    // so the stage-1 scan drops every text byte before the table walk.
-    ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
-      accumulate(static_cast<unsigned char>(bytes[i]));
-    });
-    return;
-  }
-  // Per-byte fallback for a non-trivial closure (also the reference the
-  // parity tests run against): whitespace runs are still jumped with the
-  // SWAR/SIMD kernel, but every structural byte costs a table load.
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    unsigned char byte = static_cast<unsigned char>(bytes[i]);
-    if (ByteIsAsciiWs(byte)) {
-      i += FindStructural(bytes.data() + i + 1, bytes.size() - i - 1);
-      continue;
-    }
-    accumulate(byte);
-  }
+  // Structural-index walk: the product table's whitespace rows self-loop
+  // and never count (checked when the ByteTagDfaRunner is built), so the
+  // stage-1 scan drops every text byte before the table walk.
+  ForEachStructural(bytes.data(), bytes.size(), [&](size_t i) {
+    accumulate(static_cast<unsigned char>(bytes[i]));
+  });
 }
 
 void MultiTagDfaRunner::CountSelectionsLazy(

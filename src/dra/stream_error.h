@@ -11,8 +11,9 @@ namespace sst {
 
 // Structured first-error taxonomy of the streaming front-end. Every
 // scanner and runner that consumes tag-stream bytes reports malformed
-// input through this one type, so sequential (fused and generic) and
-// parallel execution can be compared for byte-identical failure behavior.
+// input through this one type, so the streaming tiers (fused and
+// generic) and the batch validated runners can be compared for
+// byte-identical failure behavior.
 enum class StreamErrorCode : uint8_t {
   kNone = 0,
   kUnknownLabel,        // element name outside the query alphabet
@@ -32,7 +33,7 @@ const char* StreamErrorCodeName(StreamErrorCode code);
 
 // First-error record: what went wrong, where, and in which context. The
 // byte offset is the error's defining coordinate — all differential
-// properties (chunk re-splits, fused vs generic vs parallel) compare
+// properties (chunk re-splits, fused vs generic vs batch) compare
 // (code, offset) for identity.
 struct StreamError {
   StreamErrorCode code = StreamErrorCode::kNone;
@@ -120,7 +121,7 @@ struct StreamLimits {
 
 // Result of a validated (well-formedness-checked) whole-document run —
 // the common report of ByteTagDfaRunner::RunValidated and
-// ParallelTagDfaRunner::RunValidated, designed to be field-for-field
+// ByteDraRunner::RunValidated, designed to be field-for-field
 // comparable with a fail-fast StreamingSelector run over the same bytes:
 // same first StreamError (code + offset + depth + labels) and the same
 // partial counters up to that error.

@@ -14,15 +14,11 @@
 
 namespace sst {
 
-namespace {
-
 void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   SST_CHECK(flags >= 0);
   SST_CHECK(fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
 }
-
-}  // namespace
 
 EventLoop::EventLoop() {
   SST_CHECK(pipe(wake_pipe_) == 0);

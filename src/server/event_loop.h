@@ -99,6 +99,10 @@ class EventLoop {
   bool stop_posted_ = false;
 };
 
+// Sets O_NONBLOCK on `fd`; every fd an EventLoop watches must be
+// non-blocking.
+void SetNonBlocking(int fd);
+
 }  // namespace sst
 
 #endif  // SST_SERVER_EVENT_LOOP_H_

@@ -1,6 +1,7 @@
 #include "server/protocol.h"
 
 #include <cstring>
+#include <limits>
 
 namespace sst {
 
@@ -38,16 +39,33 @@ bool ForEachLine(std::string_view payload, Fn&& fn) {
   return true;
 }
 
-bool ParseInt64(std::string_view text, int64_t* value) {
-  if (text.empty() || text.size() > 19) return false;
+// Unsigned decimal in [0, max]; rejects anything larger rather than
+// wrapping, so an accepted value always re-encodes to itself.
+bool ParseInt64(std::string_view text, int64_t* value,
+                int64_t max = std::numeric_limits<int64_t>::max()) {
+  if (text.empty()) return false;
   int64_t parsed = 0;
   for (char c : text) {
     if (c < '0' || c > '9') return false;
-    parsed = parsed * 10 + (c - '0');
+    const int digit = c - '0';
+    if (parsed > (max - digit) / 10) return false;
+    parsed = parsed * 10 + digit;
   }
   *value = parsed;
   return true;
 }
+
+// Signed decimal field (offsets may be -1: no coordinate / truncated).
+bool ParseSignedInt64(std::string_view text, int64_t* value) {
+  bool negative = !text.empty() && text[0] == '-';
+  if (negative) text.remove_prefix(1);
+  int64_t parsed = 0;
+  if (!ParseInt64(text, &parsed)) return false;
+  *value = negative ? -parsed : parsed;
+  return true;
+}
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 void AppendKeyValue(std::string_view key, std::string_view value,
                     std::string* out) {
@@ -317,10 +335,11 @@ bool ParseRegistered(std::string_view payload, RegisteredInfo* info) {
   return ForEachLine(payload,
                      [&](std::string_view key, std::string_view value) {
                        int64_t parsed = 0;
-                       if (key == "queries" && ParseInt64(value, &parsed)) {
+                       if (key == "queries" &&
+                           ParseInt64(value, &parsed, kIntMax)) {
                          info->num_queries = static_cast<int>(parsed);
                        } else if (key == "slots" &&
-                                  ParseInt64(value, &parsed)) {
+                                  ParseInt64(value, &parsed, kIntMax)) {
                          info->num_slots = static_cast<int>(parsed);
                        } else if (key == "tier") {
                          info->tier.assign(value);
@@ -347,18 +366,9 @@ bool ParseErrorInfo(std::string_view payload, ErrorInfo* info) {
         if (key == "code") {
           info->code.assign(value);
         } else if (key == "offset") {
-          // Offsets may be -1 (no coordinate); handle the sign here since
-          // ParseInt64 is unsigned-only.
-          std::string_view digits = value;
-          bool negative = !digits.empty() && digits[0] == '-';
-          if (negative) digits.remove_prefix(1);
-          int64_t parsed = 0;
-          if (!ParseInt64(digits, &parsed)) return false;
-          info->offset = negative ? -parsed : parsed;
+          if (!ParseSignedInt64(value, &info->offset)) return false;
         } else if (key == "depth") {
-          int64_t parsed = 0;
-          if (!ParseInt64(value, &parsed)) return false;
-          info->depth = parsed;
+          if (!ParseInt64(value, &info->depth)) return false;
         } else if (key == "msg") {
           info->message.assign(value);
         } else {
@@ -401,16 +411,6 @@ bool ParseCounts(std::string_view payload, std::vector<int64_t>* counts) {
 }
 
 namespace {
-
-// Signed decimal field; end_offset is -1 for truncated spans.
-bool ParseSignedInt64(std::string_view text, int64_t* value) {
-  bool negative = !text.empty() && text[0] == '-';
-  if (negative) text.remove_prefix(1);
-  int64_t parsed = 0;
-  if (!ParseInt64(text, &parsed)) return false;
-  *value = negative ? -parsed : parsed;
-  return true;
-}
 
 // Splits `line` on single spaces into at most `max_fields` fields.
 int SplitFields(std::string_view line, std::string_view* fields,
@@ -464,16 +464,17 @@ bool ParseMatches(std::string_view payload,
     int n = SplitFields(line, fields, 5);
     MatchWireRecord record;
     int64_t query = 0;
+    constexpr int64_t kQueryMax = std::numeric_limits<int32_t>::max();
     if (fields[0] == "m" && n == 4) {
       record.close = false;
-      if (!ParseInt64(fields[1], &query) ||
+      if (!ParseInt64(fields[1], &query, kQueryMax) ||
           !ParseSignedInt64(fields[2], &record.event.start_offset) ||
           !ParseSignedInt64(fields[3], &record.event.certainty_offset)) {
         return false;
       }
     } else if (fields[0] == "c" && n == 5) {
       record.close = true;
-      if (!ParseInt64(fields[1], &query) ||
+      if (!ParseInt64(fields[1], &query, kQueryMax) ||
           !ParseSignedInt64(fields[2], &record.event.start_offset) ||
           !ParseSignedInt64(fields[3], &record.event.end_offset) ||
           !ParseSignedInt64(fields[4], &record.event.certainty_offset)) {

@@ -1,8 +1,8 @@
 #include "server/server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -82,12 +82,6 @@ void SignalDrainHandler(int) {
     ssize_t ignored = write(fd, &byte, 1);
     (void)ignored;
   }
-}
-
-void SetNonBlocking(int fd) {
-  int flags = fcntl(fd, F_GETFL, 0);
-  SST_CHECK(flags >= 0);
-  SST_CHECK(fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
 }
 
 }  // namespace
@@ -456,6 +450,11 @@ void QueryServer::AcceptReady() {
       break;  // EAGAIN, or transient (EMFILE/ECONNABORTED): retry on next poll
     }
     SetNonBlocking(fd);
+    // Reply frames are small and each is written whole: without
+    // TCP_NODELAY, Nagle can hold one back until the client's delayed ACK
+    // for the previous one arrives.
+    int one = 1;
+    setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
     counters_.connections_accepted.fetch_add(1, kRelaxed);
 
     std::optional<ShedReason> shed = admission_.AdmitConnection();

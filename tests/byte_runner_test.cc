@@ -29,7 +29,8 @@ TEST(ByteRunner, MatchesEventLevelMachine) {
     int64_t expected_count = 0;
     for (bool b : expected) expected_count += b ? 1 : 0;
     EXPECT_EQ(byte_runner.CountSelections(bytes), expected_count);
-    EXPECT_EQ(byte_runner.Accepts(bytes),
+    EXPECT_EQ(byte_runner.IsAccepting(
+                  byte_runner.RunValidated(bytes).final_state),
               RunAcceptor(&event_machine, events));
   }
 }
@@ -145,8 +146,9 @@ TEST(ByteRunner, CompactAndWideTablesAgree) {
   for (const Tree& tree : testing::SampleTrees(40, 2, &rng)) {
     std::string bytes = ToCompactMarkup(alphabet, Encode(tree));
     EXPECT_EQ(wide.CountSelections(bytes), small.CountSelections(bytes));
-    EXPECT_EQ(wide.FinalState(bytes), small.FinalState(bytes));
-    EXPECT_EQ(wide.Accepts(bytes), small.Accepts(bytes));
+    EXPECT_EQ(wide.CountSelectionsPerByte(bytes),
+              small.CountSelectionsPerByte(bytes));
+    EXPECT_EQ(wide.RunValidated(bytes), small.RunValidated(bytes));
   }
 }
 

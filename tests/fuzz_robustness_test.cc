@@ -4,7 +4,6 @@
 // automata may accept or reject invalid encodings arbitrarily, but the
 // implementations must stay memory-safe and terminating).
 
-#include <cstdlib>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,15 +27,6 @@
 
 namespace sst {
 namespace {
-
-// Iteration multiplier for the scheduled long-fuzz CI job: SST_FUZZ_ITERS
-// scales every sweep (default 1 keeps the suite fast for tier-1 runs).
-int FuzzIters() {
-  const char* env = std::getenv("SST_FUZZ_ITERS");
-  if (env == nullptr) return 1;
-  int iters = std::atoi(env);
-  return iters > 0 ? iters : 1;
-}
 
 std::string RandomBytes(Rng* rng, int length, const char* pool) {
   std::string bytes;
@@ -191,7 +181,7 @@ TEST(Fuzz, MutatedDocumentsAreChunkSplitInvariant) {
   const RecoveryPolicy policies[] = {RecoveryPolicy::kFailFast,
                                      RecoveryPolicy::kSkipMalformedSubtree,
                                      RecoveryPolicy::kAutoClose};
-  for (int iter = 0; iter < FuzzIters(); ++iter) {
+  for (int iter = 0; iter < testing::FuzzIters(); ++iter) {
     Rng rng(900 + iter);
     std::vector<Tree> trees = testing::SampleTrees(20, 3, &rng);
     for (size_t t = 0; t < trees.size(); ++t) {
@@ -256,13 +246,32 @@ TEST(Fuzz, MutatedDocumentsAreChunkSplitInvariant) {
 
 // Differential: on compact markup, the streaming selector (fail-fast) and
 // the batch validated runner are two implementations of one
-// specification and must report the identical first StreamError.
+// specification and must report the identical first StreamError and the
+// same partial counters at the stop point — on hand-written documents
+// that hit each error kind, and on fault-injected mutants.
 TEST(Fuzz, SelectorAndValidatedRunnerAgreeOnMutants) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Dfa query = CompileRegex("a.*b", alphabet);
   TagDfa evaluator = BuildRegisterlessQueryAutomaton(query, /*blind=*/false);
   ByteTagDfaRunner runner(evaluator);
-  for (int iter = 0; iter < FuzzIters(); ++iter) {
+  auto expect_agree = [&](const std::string& doc) {
+    ValidatedRun batch = runner.RunValidated(doc);
+    TagDfaMachine machine(&evaluator);
+    StreamingSelector selector(
+        &machine, StreamingSelector::Format::kCompactMarkup, &alphabet);
+    bool finished = selector.Feed(doc) && selector.Finish();
+    ASSERT_EQ(batch.ok(), finished) << doc;
+    ASSERT_EQ(batch.error, selector.stream_error()) << doc;
+    ASSERT_EQ(batch.matches, selector.matches()) << doc;
+    ASSERT_EQ(batch.events, selector.stats().events) << doc;
+    ASSERT_EQ(batch.max_depth, selector.stats().max_depth) << doc;
+    ASSERT_EQ(batch.nodes, selector.nodes()) << doc;
+  };
+  for (const char* doc : {"abBA", "ab?BA", "abAB", "B", "abBAB", "abdDBA",
+                          "aAbB", "ab", "aAA", "aabb", " ab BA# "}) {
+    expect_agree(doc);
+  }
+  for (int iter = 0; iter < testing::FuzzIters(); ++iter) {
     Rng rng(1700 + iter);
     std::vector<Tree> trees = testing::SampleTrees(20, 3, &rng);
     for (size_t t = 0; t < trees.size(); ++t) {
@@ -271,15 +280,7 @@ TEST(Fuzz, SelectorAndValidatedRunnerAgreeOnMutants) {
         std::string mutated = doc;
         FaultInjector injector(iter * 524287 + t * 8191 + kind);
         injector.Apply(static_cast<FaultKind>(kind), &mutated);
-        ValidatedRun batch = runner.RunValidated(mutated);
-        TagDfaMachine machine(&evaluator);
-        StreamingSelector selector(
-            &machine, StreamingSelector::Format::kCompactMarkup, &alphabet);
-        bool finished = selector.Feed(mutated) && selector.Finish();
-        ASSERT_EQ(batch.ok(), finished) << mutated;
-        ASSERT_EQ(batch.error, selector.stream_error()) << mutated;
-        ASSERT_EQ(batch.matches, selector.matches()) << mutated;
-        ASSERT_EQ(batch.events, selector.stats().events) << mutated;
+        expect_agree(mutated);
       }
     }
   }

@@ -10,7 +10,6 @@
 // recovered regions.
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -33,15 +32,6 @@
 
 namespace sst {
 namespace {
-
-// Iteration multiplier for the scheduled long-fuzz CI job: SST_FUZZ_ITERS
-// scales every sweep (default 1 keeps the suite fast for tier-1 runs).
-int FuzzIters() {
-  const char* env = std::getenv("SST_FUZZ_ITERS");
-  if (env == nullptr) return 1;
-  int iters = std::atoi(env);
-  return iters > 0 ? iters : 1;
-}
 
 // The three rungs of the degradation ladder over Alphabet "abc" (see
 // engine_plan_test.cc for the tier verdicts these queries compile to).
@@ -258,8 +248,8 @@ void RunEditChain(const QueryPlan& plan, std::shared_ptr<const QueryPlan> sp,
 TEST(IncrementalScan, MatchesPlainSelector) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(2024);
-  const auto trees = testing::SampleTrees(10 * FuzzIters(), alphabet.size(),
-                                          &rng);
+  const auto trees = testing::SampleTrees(10 * testing::FuzzIters(),
+                                          alphabet.size(), &rng);
   for (const TierCase& tier : kTiers) {
     for (StreamFormat format : kFormats) {
       auto plan = CompileTier(tier, alphabet, format);
@@ -313,7 +303,7 @@ TEST(IncrementalScan, RescanResets) {
 TEST(IncrementalEdit, WellFormedEditParity) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(7);
-  const int trees_per_config = 30 * FuzzIters();
+  const int trees_per_config = 30 * testing::FuzzIters();
   for (const TierCase& tier : kTiers) {
     for (StreamFormat format : kFormats) {
       auto plan = CompileTier(tier, alphabet, format);
@@ -346,7 +336,7 @@ TEST(IncrementalEdit, WellFormedEditParity) {
 TEST(IncrementalEdit, FailFastCorruptionParity) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(11);
-  const int trees_per_config = 10 * FuzzIters();
+  const int trees_per_config = 10 * testing::FuzzIters();
   for (const TierCase& tier : kTiers) {
     for (StreamFormat format : kFormats) {
       auto plan = CompileTier(tier, alphabet, format);
@@ -378,7 +368,7 @@ TEST(IncrementalEdit, FailFastCorruptionParity) {
 TEST(IncrementalEdit, RecoveryPolicyParity) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(13);
-  const int trees_per_config = 8 * FuzzIters();
+  const int trees_per_config = 8 * testing::FuzzIters();
   for (RecoveryPolicy policy : {RecoveryPolicy::kSkipMalformedSubtree,
                                 RecoveryPolicy::kAutoClose}) {
     for (const TierCase& tier : kTiers) {
@@ -464,8 +454,8 @@ TEST(IncrementalEdit, FiniteLimitsScanToEnd) {
   limits.max_depth = 6;
   for (const TierCase& tier : kTiers) {
     auto plan = CompileTier(tier, alphabet, StreamFormat::kCompactMarkup);
-    const auto trees = testing::SampleTrees(6 * FuzzIters(), alphabet.size(),
-                                            &rng);
+    const auto trees = testing::SampleTrees(6 * testing::FuzzIters(),
+                                            alphabet.size(), &rng);
     int tree_index = 0;
     for (const Tree& tree : trees) {
       const std::string doc =

@@ -28,6 +28,7 @@
 #include "server/admission.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "test_util.h"
 #include "testing/fault_injection.h"
 #include "trees/encoding.h"
 #include "trees/tree.h"
@@ -149,6 +150,243 @@ TEST(Protocol, DecoderRejectsUnknownType) {
   decoder.Append(std::string("Z\0\0\0\0", 5));
   Frame frame;
   EXPECT_EQ(decoder.Next(&frame), FrameDecoder::Status::kBadType);
+}
+
+// --- wire-parser mutation fuzz ----------------------------------------------
+// The frame decoder and the payload parsers are, besides the document
+// scanners, the only code that reads untrusted bytes. Each case mutates a
+// valid encoding (bit flips, inserted protocol bytes and long digit runs,
+// deleted and duplicated spans, truncation, splices of two seeds) and
+// parses it. A parse must not crash — the ASan/UBSan build turns overflow
+// and out-of-bounds reads into failures — and whatever a parser accepts
+// must survive re-encoding: encode the accepted value, parse it again, and
+// get the same value. SST_FUZZ_ITERS scales the case count.
+
+constexpr int kMutantsPerIter = 4000;
+
+std::string Mutate(Rng* rng, std::string bytes,
+                   const std::vector<std::string>& seeds) {
+  static constexpr char kProtocolBytes[] = "=\n -0123456789mcQDFMGRCESTP";
+  const int edits = 1 + static_cast<int>(rng->NextBelow(4));
+  for (int e = 0; e < edits; ++e) {
+    const size_t pos = rng->NextBelow(bytes.size() + 1);
+    const size_t span = 1 + rng->NextBelow(8);
+    switch (rng->NextBelow(8)) {
+      case 0:
+        if (pos < bytes.size()) {
+          bytes[pos] = static_cast<char>(bytes[pos] ^ (1 << rng->NextBelow(8)));
+        }
+        break;
+      case 1:
+        bytes.insert(pos, 1,
+                     kProtocolBytes[rng->NextBelow(sizeof kProtocolBytes - 1)]);
+        break;
+      case 2:
+        bytes.insert(pos, 1, static_cast<char>(rng->NextBelow(256)));
+        break;
+      case 3:
+        bytes.erase(pos, span);
+        break;
+      case 4:
+        bytes.insert(pos, bytes.substr(pos, span));
+        break;
+      case 5:
+        bytes.resize(pos);
+        break;
+      case 6: {
+        // Numbers at and past the int32/int64 boundaries.
+        bytes.insert(pos, 9 + rng->NextBelow(13), '9');
+        break;
+      }
+      default: {
+        const std::string& other = seeds[rng->NextBelow(seeds.size())];
+        bytes = bytes.substr(0, pos) +
+                other.substr(rng->NextBelow(other.size() + 1));
+        break;
+      }
+    }
+  }
+  return bytes;
+}
+
+// Runs `check` on kMutantsPerIter * SST_FUZZ_ITERS mutants of `seeds`.
+template <typename Check>
+void FuzzPayloads(uint64_t seed, const std::vector<std::string>& seeds,
+                  Check&& check) {
+  Rng rng(seed);
+  const int cases = kMutantsPerIter * testing::FuzzIters();
+  for (int i = 0; i < cases; ++i) {
+    const std::string& base = seeds[rng.NextBelow(seeds.size())];
+    check(Mutate(&rng, base, seeds));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(ProtocolFuzz, RegisterAcceptsOnlyWhatReencodes) {
+  std::vector<std::string> seeds;
+  RegisterRequest request;
+  request.alphabet = "abcdef";
+  request.queries = {"/a//b", "//c"};
+  seeds.push_back(EncodeRegister(request));
+  request.format = StreamFormat::kXmlLite;
+  request.limits.max_depth = 40;
+  request.limits.max_document_bytes = 1 << 20;
+  request.limits.max_events = 12345;
+  request.limits.max_recovered_errors = 3;
+  request.limits.max_pending_matches = 64;
+  request.matches = true;
+  seeds.push_back(EncodeRegister(request));
+  request.format = StreamFormat::kCompactTerm;
+  request.queries = {"/a/b/c"};
+  seeds.push_back(EncodeRegister(request));
+  FuzzPayloads(811, seeds, [](const std::string& payload) {
+    RegisterRequest parsed;
+    std::string error;
+    if (!ParseRegister(payload, &parsed, &error)) {
+      EXPECT_FALSE(error.empty());
+      return;
+    }
+    RegisterRequest again;
+    ASSERT_TRUE(ParseRegister(EncodeRegister(parsed), &again, &error))
+        << error << "\npayload: " << payload;
+    EXPECT_EQ(again.alphabet, parsed.alphabet);
+    EXPECT_EQ(again.format, parsed.format);
+    EXPECT_EQ(again.limits, parsed.limits);
+    EXPECT_EQ(again.queries, parsed.queries);
+    EXPECT_EQ(again.matches, parsed.matches);
+  });
+}
+
+TEST(ProtocolFuzz, RegisteredAcceptsOnlyWhatReencodes) {
+  const std::vector<std::string> seeds = {
+      EncodeRegistered({4, 3, "kFusedProduct"}),
+      EncodeRegistered({1, 1, "kStackless"}),
+  };
+  FuzzPayloads(812, seeds, [](const std::string& payload) {
+    RegisteredInfo parsed;
+    if (!ParseRegistered(payload, &parsed)) return;
+    RegisteredInfo again;
+    ASSERT_TRUE(ParseRegistered(EncodeRegistered(parsed), &again))
+        << "payload: " << payload;
+    EXPECT_EQ(again.num_queries, parsed.num_queries);
+    EXPECT_EQ(again.num_slots, parsed.num_slots);
+    EXPECT_EQ(again.tier, parsed.tier);
+  });
+}
+
+TEST(ProtocolFuzz, ErrorInfoAcceptsOnlyWhatReencodes) {
+  const std::vector<std::string> seeds = {
+      EncodeErrorInfo({"kLabelMismatch", 42, 3, "expected 'b', got 'c'"}),
+      EncodeErrorInfo({"frame_too_large", -1, 0, "payload over cap"}),
+  };
+  FuzzPayloads(813, seeds, [](const std::string& payload) {
+    ErrorInfo parsed;
+    if (!ParseErrorInfo(payload, &parsed)) return;
+    ErrorInfo again;
+    ASSERT_TRUE(ParseErrorInfo(EncodeErrorInfo(parsed), &again))
+        << "payload: " << payload;
+    EXPECT_EQ(again.code, parsed.code);
+    EXPECT_EQ(again.offset, parsed.offset);
+    EXPECT_EQ(again.depth, parsed.depth);
+    EXPECT_EQ(again.message, parsed.message);
+  });
+}
+
+TEST(ProtocolFuzz, CountsAcceptOnlyWhatReencodes) {
+  const std::vector<std::string> seeds = {
+      EncodeCounts({0, 17, 123456789, 3}),
+      EncodeCounts({}),
+      EncodeCounts({int64_t{1} << 40}),
+  };
+  FuzzPayloads(814, seeds, [](const std::string& payload) {
+    std::vector<int64_t> parsed;
+    if (!ParseCounts(payload, &parsed)) return;
+    std::vector<int64_t> again;
+    ASSERT_TRUE(ParseCounts(EncodeCounts(parsed), &again))
+        << "payload: " << payload;
+    EXPECT_EQ(again, parsed);
+  });
+}
+
+TEST(ProtocolFuzz, MatchesAcceptOnlyWhatReencodes) {
+  const std::vector<std::string> seeds = {
+      EncodeMatches({{false, {0, 5, -1, 6}},
+                     {true, {0, 5, 12, 6}},
+                     {false, {3, 100, -1, 101}},
+                     {true, {3, 100, -1, 101}}}),
+      EncodeMatches({}),
+  };
+  FuzzPayloads(815, seeds, [](const std::string& payload) {
+    std::vector<MatchWireRecord> parsed;
+    if (!ParseMatches(payload, &parsed)) return;
+    std::vector<MatchWireRecord> again;
+    ASSERT_TRUE(ParseMatches(EncodeMatches(parsed), &again))
+        << "payload: " << payload;
+    EXPECT_EQ(again, parsed);
+  });
+}
+
+TEST(ProtocolFuzz, ShedReasonAcceptsOnlyWhatReencodes) {
+  std::vector<std::string> seeds;
+  for (ShedReason reason :
+       {ShedReason::kMaxConnections, ShedReason::kMaxStreams,
+        ShedReason::kPoolSaturated, ShedReason::kDraining,
+        ShedReason::kDrainDeadline, ShedReason::kIdleTimeout,
+        ShedReason::kWriteTimeout}) {
+    seeds.push_back(EncodeShed(reason));
+  }
+  FuzzPayloads(816, seeds, [](const std::string& payload) {
+    ShedReason parsed = ShedReason::kMaxConnections;
+    if (!ParseShedReason(payload, &parsed)) return;
+    ShedReason again = ShedReason::kMaxConnections;
+    ASSERT_TRUE(ParseShedReason(EncodeShed(parsed), &again))
+        << "payload: " << payload;
+    EXPECT_EQ(again, parsed);
+  });
+}
+
+// The decoder over mutated frame streams fed in random chunks: every frame
+// it returns respects the payload cap, and re-encoding the frames
+// reproduces exactly the bytes it consumed.
+TEST(ProtocolFuzz, FrameDecoderReturnsOnlyTheFramesItConsumed) {
+  constexpr size_t kCap = 64;
+  std::vector<std::string> seeds;
+  std::string stream;
+  AppendFrame(FrameType::kRegister, "alphabet=ab\nquery=/a\n", &stream);
+  AppendFrame(FrameType::kData, "abBA", &stream);
+  AppendFrame(FrameType::kFinish, "", &stream);
+  seeds.push_back(stream);
+  stream.clear();
+  AppendFrame(FrameType::kCounts, "1 2 3", &stream);
+  AppendFrame(FrameType::kMatches, "m 0 1 2\n", &stream);
+  AppendFrame(FrameType::kGoodbye, "", &stream);
+  seeds.push_back(stream);
+  Rng chunking(817);
+  FuzzPayloads(818, seeds, [&](const std::string& bytes) {
+    FrameDecoder decoder(kCap);
+    std::vector<Frame> frames;
+    FrameDecoder::Status status = FrameDecoder::Status::kNeedMore;
+    for (size_t i = 0; i < bytes.size();) {
+      const size_t n = 1 + chunking.NextBelow(16);
+      decoder.Append(std::string_view(bytes).substr(i, n));
+      i += n;
+      Frame frame;
+      while ((status = decoder.Next(&frame)) ==
+             FrameDecoder::Status::kFrame) {
+        ASSERT_LE(frame.payload.size(), kCap);
+        frames.push_back(frame);
+      }
+      if (status != FrameDecoder::Status::kNeedMore) break;
+    }
+    std::string reencoded;
+    for (const Frame& frame : frames) {
+      AppendFrame(frame.type, frame.payload, &reencoded);
+    }
+    ASSERT_EQ(reencoded, bytes.substr(0, reencoded.size()));
+    if (status == FrameDecoder::Status::kNeedMore) {
+      EXPECT_EQ(decoder.buffered(), bytes.size() - reencoded.size());
+    }
+  });
 }
 
 // --- test harness ------------------------------------------------------------

@@ -1,7 +1,7 @@
 // Parity suite for the structural-index execution paths: every fused
 // tier that now scans the SIMD stage-1 index instead of touching each
-// byte must stay byte-identical — selection counts, final states, and
-// the first StreamError (code + offset) — to its per-byte reference.
+// byte must stay byte-identical — selection counts and the first
+// StreamError (code + offset) — to its per-byte reference.
 // The matrix is 30 random trees x {markup, xml-lite, term} x chunk
 // splits {1, 3, 16, 64k}, with heavy whitespace padding (runs crossing
 // the 64-byte block size), all seven fault-injection mutators, and the
@@ -22,7 +22,6 @@
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
 #include "dra/multi_runner.h"
-#include "dra/parallel_runner.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
 #include "engine/query_plan.h"
@@ -81,28 +80,53 @@ std::vector<std::string> Variants(const std::string& doc, uint64_t seed) {
 // ---------------------------------------------------------------------------
 // Registerless byte-table runner: indexed vs per-byte oracles. These are
 // pure table walks, so parity must hold on ANY byte soup — clean, padded,
-// or mutated — not just well-formed documents.
+// or mutated — not just well-formed documents, and on any table, not just
+// the query automata: random TagDfas with random initial states too.
 
-TEST(StructuralIndex, RegisterlessCountsAndFinalStatesMatchPerByte) {
+TagDfa RandomTagDfa(int num_states, int num_symbols, Rng* rng) {
+  TagDfa dfa = TagDfa::Create(num_states, num_symbols);
+  dfa.initial = static_cast<int>(rng->NextBelow(num_states));
+  for (int q = 0; q < num_states; ++q) {
+    dfa.accepting[q] = rng->NextBool(0.3);
+    for (Symbol a = 0; a < num_symbols; ++a) {
+      dfa.SetNextOpen(q, a, static_cast<int>(rng->NextBelow(num_states)));
+      dfa.SetNextClose(q, a, static_cast<int>(rng->NextBelow(num_states)));
+    }
+  }
+  return dfa;
+}
+
+TEST(StructuralIndex, RegisterlessCountsMatchPerByte) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   Rng rng(2207);
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
+  std::vector<TagDfa> tables;
   for (const char* pattern : {".*", "a.*b", ".*ab", "ab"}) {
-    Dfa dfa = CompileRegex(pattern, alphabet);
-    TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
-    ByteTagDfaRunner runner(evaluator, alphabet);
-    // The closure must be derived as trivial for these tables — if this
-    // fails the suite below would silently test the fallback loop only.
-    ASSERT_TRUE(runner.text_run_exact()) << pattern;
-    ASSERT_TRUE(runner.text_run_trivial()) << pattern;
+    tables.push_back(BuildRegisterlessQueryAutomaton(
+        CompileRegex(pattern, alphabet), /*blind=*/false));
+  }
+  for (int i = 0; i < 4; ++i) {
+    tables.push_back(RandomTagDfa(2 + static_cast<int>(rng.NextBelow(9)), 3,
+                                  &rng));
+  }
+  // Edge documents: empty, and every one-byte document.
+  std::vector<std::string> edge_docs = {""};
+  for (int byte = 0; byte < 256; ++byte) {
+    edge_docs.push_back(std::string(1, static_cast<char>(byte)));
+  }
+  for (size_t k = 0; k < tables.size(); ++k) {
+    ByteTagDfaRunner runner(tables[k], alphabet);
+    for (const std::string& bytes : edge_docs) {
+      EXPECT_EQ(runner.CountSelections(bytes),
+                runner.CountSelectionsPerByte(bytes))
+          << "table=" << k << " len=" << bytes.size();
+    }
     for (size_t t = 0; t < trees.size(); ++t) {
       std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
       for (const std::string& bytes : Variants(doc, t * 7919 + 11)) {
         EXPECT_EQ(runner.CountSelections(bytes),
                   runner.CountSelectionsPerByte(bytes))
-            << pattern << " tree=" << t;
-        EXPECT_EQ(runner.FinalState(bytes), runner.FinalStatePerByte(bytes))
-            << pattern << " tree=" << t;
+            << "table=" << k << " tree=" << t;
       }
     }
   }
@@ -170,7 +194,6 @@ TEST(StructuralIndex, StacklessDraCountsMatchPerByte) {
   std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
   for (const auto& plan : plans) {
     const ByteDraRunner* runner = plan->fused_dra();
-    ASSERT_TRUE(runner->text_run_trivial());
     for (size_t t = 0; t < trees.size(); ++t) {
       std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
       for (const std::string& bytes : Variants(doc, t * 6151 + 29)) {
@@ -272,40 +295,6 @@ TEST(StructuralIndex, MixedBatchCountsMatchPerByteReferences) {
         expected.push_back(dra->CountSelectionsPerByte(bytes));
       }
       EXPECT_EQ(mixed.CountSelections(bytes), expected) << "tree=" << t;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Parallel speculative runner: the index-extracted position walk (and its
-// iota fallback) against the per-byte sequential oracles, with tiny dedup
-// intervals so merges land inside whitespace gaps.
-
-TEST(StructuralIndex, ParallelRunnerMatchesPerByteOracles) {
-  Alphabet alphabet = Alphabet::FromLetters("abc");
-  Dfa dfa = CompileRegex("a.*b", alphabet);
-  TagDfa evaluator = BuildRegisterlessQueryAutomaton(dfa, /*blind=*/false);
-  ByteTagDfaRunner runner(evaluator, alphabet);
-  Rng rng(2219);
-  std::vector<Tree> trees = testing::SampleTrees(30, 3, &rng);
-  for (int dedup_interval : {7, 64, 256}) {
-    ParallelTagDfaRunner parallel(&runner, /*pool=*/nullptr, dedup_interval);
-    for (size_t t = 0; t < trees.size(); ++t) {
-      std::string doc = ToCompactMarkup(alphabet, Encode(trees[t]));
-      for (const std::string& bytes : Variants(doc, t * 389 + 7)) {
-        for (int chunks : {1, 3, 8}) {
-          ParallelTagDfaRunner::Result result = parallel.Run(bytes, chunks);
-          EXPECT_EQ(result.selections, runner.CountSelectionsPerByte(bytes))
-              << "tree=" << t << " chunks=" << chunks;
-          EXPECT_EQ(result.final_state, runner.FinalStatePerByte(bytes))
-              << "tree=" << t << " chunks=" << chunks;
-        }
-        ValidatedRun sequential = runner.RunValidated(bytes);
-        ValidatedRun parallel_run = parallel.RunValidated(bytes, 3);
-        EXPECT_EQ(parallel_run.error.code, sequential.error.code);
-        EXPECT_EQ(parallel_run.error.offset, sequential.error.offset);
-        EXPECT_EQ(parallel_run.matches, sequential.matches);
-      }
     }
   }
 }

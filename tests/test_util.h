@@ -1,6 +1,7 @@
 #ifndef SST_TESTS_TEST_UTIL_H_
 #define SST_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <functional>
 #include <vector>
 
@@ -13,6 +14,15 @@
 #include "trees/tree.h"
 
 namespace sst::testing {
+
+// Iteration multiplier for the scheduled long-fuzz CI job: SST_FUZZ_ITERS
+// scales every sweep (default 1 keeps the suite fast for tier-1 runs).
+inline int FuzzIters() {
+  const char* env = std::getenv("SST_FUZZ_ITERS");
+  if (env == nullptr) return 1;
+  int iters = std::atoi(env);
+  return iters > 0 ? iters : 1;
+}
 
 // Collects up to `want` minimal DFAs satisfying `predicate`, drawing from a
 // mix of generators (uniform, permutation, R-trivial, finite) so the sample
