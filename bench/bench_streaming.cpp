@@ -595,9 +595,55 @@ void BM_MultiQueryIndependentScan(benchmark::State& state) {
                  std::to_string(num_queries));
 }
 
+// Streaming Feed of the same batch in 64 KiB chunks on the fused-product
+// tier, with no sink (0), a verdict-only CountingSink (1) or a sink that
+// wants spans (2): the per-match member fan-out from the reached product
+// state's mask, against the same stream with no sink.
+class SpanCountingSink final : public MatchSink {
+ public:
+  void OnMatch(const MatchEvent&) override { ++matches; }
+  void OnSpanClose(const MatchEvent&) override { ++spans; }
+  int64_t matches = 0;
+  int64_t spans = 0;
+};
+
+void BM_MultiQueryStreamSink(benchmark::State& state) {
+  int num_queries = static_cast<int>(state.range(0));
+  const int64_t mode = state.range(1);
+  auto plan = MultiQueryPlan::Compile(MultiQueryBatch(num_queries),
+                                      WideAlphabet(), MultiQueryOptions{});
+  SST_CHECK(plan->tier() == MultiTier::kFusedProduct);
+  BatchSession session(plan);
+  CountingSink counting(num_queries);
+  SpanCountingSink spans;
+  if (mode == 1) session.set_match_sink(&counting);
+  if (mode == 2) session.set_match_sink(&spans);
+  const std::string& bytes = WideMarkupBytes();
+  const std::vector<int64_t> expected = session.CountSelections(bytes);
+  int64_t total = 0;
+  for (int64_t count : expected) total += count;
+  for (auto _ : state) {
+    counting.Reset();
+    spans = SpanCountingSink();
+    SST_CHECK(DriveBatchChunked(session, bytes, 65536));
+  }
+  SST_CHECK(session.query_matches() == expected);
+  if (mode == 1) SST_CHECK(counting.counts() == expected);
+  if (mode == 2) SST_CHECK(spans.matches == total && spans.spans == total);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(total);
+  state.counters["product_states"] =
+      static_cast<double>(plan->stats().eager_states);
+  const char* sinks[] = {"off", "counting", "spans"};
+  state.SetLabel("multiquery/stream/sink=" + std::string(sinks[mode]) +
+                 "/N=" + std::to_string(num_queries));
+}
+
 BENCHMARK(BM_MultiQueryEagerScan)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_MultiQueryLazyScan)->Arg(2)->Arg(8)->Arg(32);
 BENCHMARK(BM_MultiQueryIndependentScan)->Arg(2)->Arg(8)->Arg(32);
+BENCHMARK(BM_MultiQueryStreamSink)->ArgsProduct({{8, 32}, {0, 1, 2}});
 
 // --- Stackless fused tier: Lemma 3.8 at byte-table speed ----------------
 // Whitespace-padded compact markup over {a, b, c}: pretty-printed with a

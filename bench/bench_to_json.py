@@ -27,6 +27,10 @@ def compact(raw):
             # the benchmark *library*'s, not ours.
             "byte_scan_kernel": ctx.get("byte_scan_kernel"),
             "build_type": ctx.get("build_type"),
+            # The commit measured (bench/git_sha.sh): the bench scripts
+            # pass it as --benchmark_context=git_sha=..., and load_client
+            # writes it from --git-sha.
+            "git_sha": ctx.get("git_sha"),
         },
         "benchmarks": [],
     }

@@ -31,12 +31,15 @@ bin="$BUILD_DIR/bench/bench_incremental"
 
 raw=$(mktemp)
 trap 'rm -f "$raw"' EXIT
+# Provenance: the commit the artifact was measured at.
+source bench/git_sha.sh
 # Google Benchmark >= 1.8 wants a unit suffix on --benchmark_min_time and
 # older releases reject it; try the suffixed spelling first.
 if ! "$bin" --benchmark_format=json --benchmark_min_time="${MIN_TIME}s" \
-     --benchmark_filter="$FILTER" > "$raw" 2>/dev/null; then
+     --benchmark_filter="$FILTER" --benchmark_context=git_sha="$sha" \
+     > "$raw" 2>/dev/null; then
   "$bin" --benchmark_format=json --benchmark_min_time="$MIN_TIME" \
-     --benchmark_filter="$FILTER" > "$raw"
+     --benchmark_filter="$FILTER" --benchmark_context=git_sha="$sha" > "$raw"
 fi
 
 python3 bench/bench_to_json.py "$raw" > BENCH_incremental.json

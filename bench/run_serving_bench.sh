@@ -58,8 +58,12 @@ done
 [[ -s "$port_file" ]] || { echo "server never published a port" >&2; exit 1; }
 port=$(cat "$port_file")
 
+# Provenance: the commit the artifact was measured at.
+source bench/git_sha.sh
+
 "$client" --port "$port" --connections "$CONNECTIONS" --docs "$DOCS" \
-  --chunk-size "$CHUNK" --batch "$BATCH" --timeout-s 300 --json-out "$raw"
+  --chunk-size "$CHUNK" --batch "$BATCH" --timeout-s 300 --json-out "$raw" \
+  --git-sha "$sha"
 
 # Graceful drain: SIGTERM, then wait for a clean exit (non-zero would mean
 # the drain machinery wedged or force-close left the process hanging).

@@ -8,6 +8,7 @@
 //   load_client --port 7007 --fault-rate 0.3 --seed 9   # chaos mix
 //   load_client --port 7007 --json-out raw.json         # bench artifact
 //   load_client --port 7007 --matches                   # streamed spans
+//   load_client --port 7007 --json-out raw.json --git-sha SHA  # provenance
 //
 // Reports per-document latency (p50/p99), throughput in MiB/s, and the
 // verdict mix (counts / stream errors / sheds). With --matches every
@@ -74,6 +75,7 @@ struct Config {
   double timeout_s = 120.0;
   const char* json_out = nullptr;
   bool matches = false;  // opt into streamed MatchEvent spans
+  const char* git_sha = nullptr;  // --json-out provenance, when given
 };
 
 // The serve_many query family over {a..f}.
@@ -493,10 +495,14 @@ void WriteJson(const Config& config, const Totals& totals, double wall_s,
   long long docs = totals.ok + totals.stream_errors;
   double per_doc_ns = docs > 0 ? wall_s * 1e9 / static_cast<double>(docs)
                                : 0.0;
+  std::string sha_entry;
+  if (config.git_sha != nullptr) {
+    sha_entry = std::string(", \"git_sha\": \"") + config.git_sha + "\"";
+  }
   std::fprintf(file,
                "{\n"
                " \"context\": {\"date\": \"%s\", \"host_name\": \"%s\","
-               " \"num_cpus\": %ld, \"build_type\": \"%s\"},\n"
+               " \"num_cpus\": %ld, \"build_type\": \"%s\"%s},\n"
                " \"benchmarks\": [\n"
                "  {\"name\": \"serving/loopback/conns:%d/batch:%d\","
                " \"run_type\": \"iteration\", \"iterations\": %lld,"
@@ -511,8 +517,8 @@ void WriteJson(const Config& config, const Totals& totals, double wall_s,
                " ]\n"
                "}\n",
                date, host, sysconf(_SC_NPROCESSORS_ONLN), SST_BUILD_TYPE,
-               config.connections, config.batch, docs, per_doc_ns,
-               per_doc_ns, mib_per_s * 1024.0 * 1024.0,
+               sha_entry.c_str(), config.connections, config.batch, docs,
+               per_doc_ns, per_doc_ns, mib_per_s * 1024.0 * 1024.0,
                docs / wall_s, config.connections, docs, p50, p99,
                totals.sheds, totals.match_records, match_p50, match_p99);
   std::fclose(file);
@@ -557,6 +563,12 @@ int main(int argc, char** argv) {
       config.timeout_s = std::atof(value);
     } else if (std::strcmp(flag, "--json-out") == 0) {
       config.json_out = value;
+    } else if (std::strcmp(flag, "--git-sha") == 0) {
+      if (std::strpbrk(value, "\"\\") != nullptr) {
+        std::fprintf(stderr, "bad --git-sha %s\n", value);
+        return 2;
+      }
+      config.git_sha = value;
     } else {
       std::fprintf(stderr, "unknown flag %s\n", flag);
       return 2;

@@ -211,6 +211,11 @@ class MatchRecorder {
   }
 
   int64_t pending() const { return static_cast<int64_t>(pending_.size()); }
+  // Depth of the innermost pending span, 0 when none (depths are 1-based):
+  // a close at depth d completes a span iff this is >= d.
+  int64_t innermost_pending_depth() const {
+    return pending_.empty() ? 0 : pending_.back().depth;
+  }
   int64_t peak_pending() const { return peak_pending_; }
   int64_t emitted() const { return emitted_; }
   int64_t overflowed() const { return overflowed_; }

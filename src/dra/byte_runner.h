@@ -97,7 +97,8 @@ class ByteTagDfaRunner {
 
   int num_states() const { return num_states_; }
 
-  // Raw storage access for MultiTagDfaRunner's fused product scan: exactly
+  // Raw storage access for the fused scan loops (MultiTagDfaRunner's
+  // one-scan product walk, StreamingSelector's streaming kernel): exactly
   // one of table16()/table32() is non-null, matching uses_compact_table().
   // Rows are 256 entries wide.
   bool uses_compact_table() const { return !table16_.empty(); }
@@ -107,6 +108,8 @@ class ByteTagDfaRunner {
   const int32_t* table32() const {
     return table32_.empty() ? nullptr : table32_.data();
   }
+  // One byte per state, nonzero iff the state accepts.
+  const uint8_t* accepting() const { return accepting_.data(); }
 
  private:
   void BuildTable(const TagDfa& dfa, const Symbol* byte_symbol);

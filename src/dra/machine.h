@@ -57,8 +57,9 @@ class StreamMachine {
   // state-independent: the fused tiers sample acceptance from the byte
   // table without syncing the machine mid-chunk, and the default must stay
   // correct there. Multi-query machines (ProductTagMachine) override this
-  // to enumerate the accepting members of the product mask; they never run
-  // fused, so their machine state is in sync at every call.
+  // to enumerate the accepting members of the product mask; when they run
+  // on the fused byte table, the scanner syncs their state (via
+  // SyncExportedState) before every call.
   virtual void AppendSelectedMembers(std::vector<int32_t>* out) const {
     out->push_back(0);
   }
@@ -72,6 +73,17 @@ class StreamMachine {
   virtual const TagDfa* ExportTagDfa() const { return nullptr; }
   virtual int ExportedState() const { return 0; }
   virtual void SyncExportedState(int /*state*/) {}
+
+  // Multi-member TagDfa exports (the eager product of a registerless
+  // batch) also expose a per-state open-visit counter, one slot per
+  // exported state: the fused scanner adds 1 at the state reached by every
+  // opening tag whose state accepts, and FoldExportedVisits adds the slots
+  // into the per-member counts (and zeroes them) once per Feed, before it
+  // returns or hands the stream to the generic tier. Null — the default —
+  // for single-member machines, whose one count is the scanner's own
+  // matches.
+  virtual int64_t* ExportedVisitCounts() { return nullptr; }
+  virtual void FoldExportedVisits() {}
 
   // Stackless fast-path export: machines that are (wrappers of) an explicit
   // restricted DRA expose the automaton plus get/set access to their full

@@ -148,6 +148,9 @@ ProductTagMachine::ProductTagMachine(const TagDfaProduct* eager,
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.initial;
     base = static_cast<size_t>(eager_->arity);
+    if (dras_.empty()) {
+      visits_.assign(static_cast<size_t>(eager_->dfa.num_states), 0);
+    }
   } else if (lazy != nullptr) {
     lazy_cursor_.emplace(lazy);
     base = static_cast<size_t>(lazy->arity());
@@ -162,6 +165,7 @@ ProductTagMachine::ProductTagMachine(const TagDfaProduct* eager,
 void ProductTagMachine::Reset() {
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.initial;
+    visits_.assign(visits_.size(), 0);
   } else if (lazy_cursor_) {
     lazy_cursor_->Reset();
   }
@@ -234,6 +238,22 @@ void ProductTagMachine::AppendSelectedMembers(
   }
 }
 
+const TagDfa* ProductTagMachine::ExportTagDfa() const {
+  return visits_.empty() ? nullptr : &eager_->dfa;
+}
+
+void ProductTagMachine::FoldExportedVisits() {
+  for (size_t s = 0; s < visits_.size(); ++s) {
+    if (visits_[s] == 0) continue;
+    eager_->masks[s].AccumulateInto(counts_.data(), visits_[s]);
+    visits_[s] = 0;
+  }
+}
+
+int64_t* ProductTagMachine::ExportedVisitCounts() {
+  return visits_.empty() ? nullptr : visits_.data();
+}
+
 // --- MultiTagDfaRunner ---------------------------------------------------
 
 MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
@@ -254,7 +274,10 @@ MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
                         : nullptr),
       selector_(&machine_, format, alphabet,
                 tables != nullptr ? tables : owned_tables_.get(),
-                /*fused=*/nullptr) {
+                machine_.ExportTagDfa() != nullptr &&
+                        format == StreamFormat::kCompactMarkup
+                    ? eager_fused
+                    : nullptr) {
   SST_CHECK(eager_fused_ == nullptr || eager_ != nullptr);
   // The one-scan markup APIs need every label to be a single lowercase
   // letter (same eligibility rule as the fused single-query byte table).

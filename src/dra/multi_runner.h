@@ -121,9 +121,19 @@ class ProductTagMachine final : public StreamMachine {
 
   // Match-event fan-out (base/match_sink.h): member ids are the product
   // mask bits first, then the DRA members — the same member order as
-  // counts(). This machine always runs the generic scanner tier (never
-  // fused), so its state is in sync whenever the selector samples it.
+  // counts(). On the fused byte table the selector syncs the eager state
+  // before every call, so the mask read here is the reached state's.
   void AppendSelectedMembers(std::vector<int32_t>* out) const override;
+
+  // Fused byte-table export: an eager product with no DRA members (the
+  // kFusedProduct tier) is a plain TagDfa over the product states. The
+  // fused scanner counts per-state open visits, and FoldExportedVisits
+  // adds them into counts() through the states' selection masks.
+  const TagDfa* ExportTagDfa() const override;
+  int ExportedState() const override { return eager_state_; }
+  void SyncExportedState(int state) override { eager_state_ = state; }
+  int64_t* ExportedVisitCounts() override;
+  void FoldExportedVisits() override;
 
   int arity() const { return static_cast<int>(counts_.size()); }
   const std::vector<int64_t>& counts() const { return counts_; }
@@ -132,6 +142,9 @@ class ProductTagMachine final : public StreamMachine {
  private:
   const TagDfaProduct* eager_;
   int eager_state_ = 0;
+  // Exported tier only: per product state, accepting opens the fused
+  // scanner reached it with since the last fold (all zero between Feeds).
+  std::vector<int64_t> visits_;
   std::optional<LazyProductCursor> lazy_cursor_;
   // Mixed batches: stackless members and their configurations, parallel
   // arrays in member order (after the product bits).
@@ -156,11 +169,12 @@ struct MultiValidatedRun {
 
 // Multi-query front-end over one shared product: a chunk-capable
 // StreamingSelector (any format, full StreamError / recovery-policy
-// parity with single-query sessions) around a ProductTagMachine, plus
-// one-scan byte-table entry points for compact markup that reuse the
-// fused ByteTagDfaRunner machinery (uint16/uint32 compaction, SWAR/SIMD
-// whitespace bulk-skip) to emit every query's selection count in a single
-// table walk.
+// parity with single-query sessions) around a ProductTagMachine — which,
+// on the fused-product tier over compact markup, streams on the eager
+// product's byte table — plus one-scan byte-table entry points for
+// compact markup that reuse the fused ByteTagDfaRunner machinery
+// (uint16/uint32 compaction, SWAR/SIMD whitespace bulk-skip) to emit
+// every query's selection count in a single table walk.
 //
 // The runner holds only per-stream state; the product artifacts are
 // shared, immutable (eager) or internally synchronized (lazy), so K
@@ -169,7 +183,9 @@ class MultiTagDfaRunner {
  public:
   // At most one of `eager` / `lazy` may be non-null; `eager_fused` is
   // the optional fused byte table of the eager product (built by the
-  // engine when the alphabet is markup-eligible) and `tables` may be null
+  // engine when the alphabet is markup-eligible; the streaming selector
+  // runs it too when there are no `mixed_dras` and the format is
+  // compact markup) and `tables` may be null
   // to build private scanner tables. `mixed_dras` adds stackless members
   // (mixed tier): fused restricted DRAs stepped alongside the product,
   // reported after the product bits in member order — composes with

@@ -1,5 +1,6 @@
 #include "dra/streaming.h"
 
+#include <bit>
 #include <cstring>
 #include <string>
 
@@ -24,8 +25,10 @@ inline bool IsAsciiAlnum(unsigned char c) {
 
 #if defined(__GNUC__) || defined(__clang__)
 #define SST_NOINLINE __attribute__((noinline))
+#define SST_UNLIKELY(x) __builtin_expect(static_cast<bool>(x), 0)
 #else
 #define SST_NOINLINE
+#define SST_UNLIKELY(x) (x)
 #endif
 
 // Out-of-line recorder entry points for the fused scan loop. Keeping the
@@ -90,7 +93,7 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
   owned_tables_ =
       std::make_unique<ScannerTables>(ScannerTables::Build(format, *alphabet));
   tables_ = owned_tables_.get();
-  open_labels_.reserve(kDepthReserve);
+  open_labels_.reserve(kDepthReserve + kLabelBlockSlots);
   if (format_ == Format::kCompactMarkup) {
     if (const TagDfa* dfa = machine_->ExportTagDfa()) {
       // The fused table is keyed by the raw byte, so every symbol the
@@ -158,7 +161,7 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
     const Dra* dra = machine_->ExportDra();
     SST_CHECK(dra != nullptr && dra->num_states == fused_dra_->num_states());
   }
-  open_labels_.reserve(kDepthReserve);
+  open_labels_.reserve(kDepthReserve + kLabelBlockSlots);
   CheckTableAgreement();
   Reset();
 }
@@ -207,11 +210,12 @@ void StreamingSelector::set_limits(const StreamLimits& limits) {
   recorder_.set_max_pending(limits.max_pending_matches);
 }
 
-void StreamingSelector::RecordMatch(int64_t start, int64_t certainty) {
+void StreamingSelector::RecordMatch(int64_t depth, int64_t start,
+                                    int64_t certainty) {
   member_scratch_.clear();
   machine_->AppendSelectedMembers(&member_scratch_);
   for (int32_t member : member_scratch_) {
-    recorder_.OnMatch(member, depth_, start, certainty);
+    recorder_.OnMatch(member, depth, start, certainty);
   }
 }
 
@@ -286,7 +290,15 @@ bool StreamingSelector::SaveCheckpoint(SelectorCheckpoint* out) {
 
 bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   if (!machine_->RestoreConfig(cp.machine_config)) return false;
-  open_labels_ = cp.open_labels;
+  // Keep the fused kernel's one block of label slots above the restored
+  // top: a copy-assignment sized to the depth alone would make the next
+  // Feed regrow the vector, doubling its capacity, after a deep resume.
+  const size_t label_slots = cp.open_labels.size() + kLabelBlockSlots;
+  if (open_labels_.capacity() < label_slots) {
+    open_labels_.clear();
+    open_labels_.reserve(label_slots);
+  }
+  open_labels_.assign(cp.open_labels.begin(), cp.open_labels.end());
   SST_CHECK(cp.tag_buf.size() <= kMaxTagBytes);
   std::memcpy(tag_buf_, cp.tag_buf.data(), cp.tag_buf.size());
   tag_len_ = static_cast<uint32_t>(cp.tag_buf.size());
@@ -471,7 +483,7 @@ bool StreamingSelector::EmitOpen(Symbol symbol, int64_t offset,
     // Span start = first byte of the opening token (excise_from: the '<',
     // the term label byte); certainty = just past the token — the earliest
     // offset at which pre-selection is decided.
-    if (recorder_.active()) RecordMatch(excise_from, offset + 1);
+    if (recorder_.active()) RecordMatch(depth_, excise_from, offset + 1);
   }
   ++nodes_;
   return true;
@@ -597,7 +609,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
           if (match_callback_) match_callback_(nodes_, s);
           // Compact-markup tokens are one byte: the span starts at the
           // letter and the verdict is certain at the very next byte. On
-          // the fused tiers acceptance comes from the byte table, so the
+          // the fused DRA tier acceptance comes from the DRA table, so the
           // recorder path costs one predictable branch when no sink is
           // installed; single-member steppers also skip the virtual
           // AppendSelectedMembers fan-out (always {0} there).
@@ -614,7 +626,7 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
                 RecordSingleMemberMatchSlow(recorder_, depth_, start);
               }
             } else {
-              RecordMatch(chunk_base_ + static_cast<int64_t>(i),
+              RecordMatch(depth_, chunk_base_ + static_cast<int64_t>(i),
                           chunk_base_ + static_cast<int64_t>(i) + 1);
             }
           }
@@ -674,6 +686,217 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
     }
   }
   return {ScanStatus::kOk, chunk.size()};
+}
+
+void StreamingSelector::RecordFusedMatch(bool product, int state,
+                                         int64_t depth, int64_t start) {
+  // Compact-markup tokens are one byte: the span starts at the letter and
+  // the verdict is certain at the very next byte. Product members fan out
+  // from the mask of the state just reached, so the machine's state is set
+  // first (an O(1) store; the visit counts fold once per Feed);
+  // single-member machines always answer member 0.
+  if (product) {
+    machine_->SyncExportedState(state);
+    RecordMatch(depth, start, start + 1);
+  } else {
+    recorder_.OnMatch(0, depth, start, start + 1);
+  }
+}
+
+void StreamingSelector::FlushFusedHits(const size_t* indices, size_t count) {
+  MatchSink* sink = recorder_.verdict_only_sink();
+  MatchEvent event;
+  for (size_t k = 0; k < count; ++k) {
+    event.start_offset = chunk_base_ + static_cast<int64_t>(indices[k]);
+    event.certainty_offset = event.start_offset + 1;
+    sink->OnMatch(event);
+    recorder_.CountEmitted();
+  }
+}
+
+template <typename T, bool kProduct, StreamingSelector::FusedEmit kEmit>
+bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
+                                  int64_t* visits) {
+  // The compact-markup byte_symbol table is -1 on every byte that is not
+  // a known letter, so `s < 0` alone rejects junk and unknown labels, and
+  // the tag kind of a letter is its bit 5 (set on 'a'..'z', clear on
+  // 'A'..'Z'): no per-event branch on the kind reaches the compiler.
+  const Symbol* sym = tables_->byte_symbol.data();
+  const uint8_t* accepting = fused_->accepting();
+  const uint64_t max_depth_limit = static_cast<uint64_t>(limits_.max_depth);
+  const char* data = chunk.data();
+  const size_t n = chunk.size();
+  // The label stack needs depth + kLabelBlockSlots slots per block,
+  // checked once per block (so it grows with depth, never with the
+  // chunk). open_labels_ holds exactly depth_ labels between Feed calls.
+  constexpr int64_t kBlockSlots = static_cast<int64_t>(kLabelBlockSlots);
+  // kVerdicts: chunk indices of the last blocks' matches, flushed in
+  // document order before the buffer could overflow and before returning.
+  // Product members need the state of every hit, so products run kFull.
+  static_assert(!kProduct || kEmit != FusedEmit::kVerdicts);
+  constexpr size_t kHitCap = kEmit == FusedEmit::kVerdicts ? 256 : 1;
+  size_t hit_index[kHitCap];
+  size_t hits = 0;
+  size_t state = static_cast<size_t>(machine_->ExportedState());
+  // Opens are (events + depth) / 2 from any starting point, so nodes are
+  // not counted per byte; and the stream has seen its root iff it has
+  // seen an event, so trailing content needs no flag of its own.
+  const int64_t nodes_base = nodes_ - (events_ + depth_) / 2;
+  int64_t depth = depth_;
+  int64_t max_depth = max_depth_;
+  int64_t events = events_;
+  int64_t matches = matches_;
+  Symbol* labels = open_labels_.data();
+  // Steps one structural byte; true on any framing or limit violation,
+  // with nothing consumed. Every per-byte check of FeedMarkup is folded
+  // into one flag so the only branch is the never-taken exit: a bad byte
+  // or an unknown label (s < 0), a close at depth 0 or an open past the
+  // depth limit (next_depth outside [0, max_depth]), any byte after the
+  // root closed (trailing content, or an unbalanced close), and a close
+  // that does not match the top label. (The event limit is applied per
+  // block, below.)
+  auto step = [&](size_t i) -> bool {
+    const unsigned char c = static_cast<unsigned char>(data[i]);
+    const Symbol s = sym[c];
+    const int64_t open = (c >> 5) & 1;
+    const int64_t close = open ^ 1;
+    const int64_t next_depth = depth + open - close;
+    // At depth 0 this reads slot 0 (a stale label); a close there fails
+    // the depth test instead.
+    const Symbol top = labels[depth - (depth != 0)];
+    const bool bad = (s < 0) |
+                     (static_cast<uint64_t>(next_depth) > max_depth_limit) |
+                     ((depth == 0) & (events != 0)) |
+                     (close & (top != s));
+    if (SST_UNLIKELY(bad)) return true;
+    labels[depth] = s;
+    state = table[state * 256 + c];
+    const int64_t selected = open & accepting[state];
+    if constexpr (kEmit == FusedEmit::kVerdicts) {
+      hit_index[hits] = i;
+      hits += static_cast<size_t>(selected);
+    } else if constexpr (kEmit == FusedEmit::kFull) {
+      const int64_t offset = chunk_base_ + static_cast<int64_t>(i);
+      if (selected) {
+        if (match_callback_) {
+          match_callback_(nodes_base + (events + depth) / 2, s);
+        }
+        if (recorder_.active()) {
+          RecordFusedMatch(kProduct, static_cast<int>(state), next_depth,
+                           offset);
+        }
+      }
+      // Taken only by closes that complete a span, so the branch is as
+      // predictable as the matches themselves where `close` alone is not.
+      if (close & (recorder_.innermost_pending_depth() >= depth)) {
+        RecordSpanClose(recorder_, depth, offset + 1);
+      }
+    }
+    depth = next_depth;
+    max_depth = depth > max_depth ? depth : max_depth;
+    ++events;
+    matches += selected;
+    if constexpr (kProduct) visits[state] += selected;
+    return false;
+  };
+  size_t stop = n;
+  for (size_t base = 0; base < n && stop == n; base += 64) {
+    if (static_cast<int64_t>(open_labels_.size()) < depth + kBlockSlots) {
+      open_labels_.resize(static_cast<size_t>(depth + kBlockSlots));
+      labels = open_labels_.data();
+    }
+    if constexpr (kEmit == FusedEmit::kVerdicts) {
+      if (hits > kHitCap - 64) {
+        FlushFusedHits(hit_index, hits);
+        hits = 0;
+      }
+    }
+    const size_t len = n - base < 64 ? n - base : 64;
+    uint64_t mask = ClassifyBlock(data + base, len);
+    // Every structural byte the kernel consumes is one event, so the
+    // event limit cuts the block's mask before its first over-limit byte,
+    // which then goes to the generic tier like any other offending byte.
+    size_t limit_stop = n;
+    if (static_cast<int64_t>(std::popcount(mask)) >
+        limits_.max_events - events) {
+      uint64_t over = mask;
+      for (int64_t k = limits_.max_events - events; k > 0; --k) {
+        over &= over - 1;
+      }
+      limit_stop = base + static_cast<size_t>(std::countr_zero(over));
+      mask &= ~over;
+    }
+    if (mask == ~uint64_t{0}) {
+      for (size_t k = 0; k < 64; ++k) {
+        if (step(base + k)) {
+          stop = base + k;
+          break;
+        }
+      }
+    } else {
+      for (; mask != 0; mask &= mask - 1) {
+        const size_t i = base + static_cast<size_t>(std::countr_zero(mask));
+        if (step(i)) {
+          stop = i;
+          break;
+        }
+      }
+    }
+    if (stop == n) stop = limit_stop;
+  }
+  if constexpr (kEmit == FusedEmit::kVerdicts) {
+    FlushFusedHits(hit_index, hits);
+  }
+  open_labels_.resize(static_cast<size_t>(depth));
+  nodes_ = nodes_base + (events + depth) / 2;
+  saw_root_ = saw_root_ || events != 0;
+  depth_ = depth;
+  max_depth_ = max_depth;
+  events_ = events;
+  matches_ = matches;
+  machine_->SyncExportedState(static_cast<int>(state));
+  if constexpr (kProduct) machine_->FoldExportedVisits();
+  if (stop == n) return true;
+  // The offending byte goes to the generic tier, which re-detects the
+  // same error at the same offset. Under kSkipMalformedSubtree that
+  // recovery synthesizes machine-level closes the byte table cannot
+  // express, so the stream drops to the generic tier for the rest of the
+  // document (the degradation ladder); otherwise the error is fatal.
+  if (policy_ == RecoveryPolicy::kSkipMalformedSubtree) demoted_ = true;
+  VirtualStepper generic{machine_};
+  return FeedMarkup(chunk, stop, generic).status == ScanStatus::kOk;
+}
+
+bool StreamingSelector::FeedFused(std::string_view chunk) {
+  // Picks the kernel instantiation: table width, product (the machine
+  // exports a visit counter), and emission policy.
+  using E = FusedEmit;
+  int64_t* visits = machine_->ExportedVisitCounts();
+  E emit = E::kNone;
+  if (match_callback_ ||
+      (recorder_.active() &&
+       (visits != nullptr || recorder_.verdict_only_sink() == nullptr))) {
+    emit = E::kFull;
+  } else if (recorder_.active()) {
+    emit = E::kVerdicts;
+  }
+  auto scan = [&]<typename T>(const T* t) {
+    if (visits != nullptr) {
+      return emit == E::kFull ? ScanFused<T, true, E::kFull>(chunk, t, visits)
+                              : ScanFused<T, true, E::kNone>(chunk, t, visits);
+    }
+    switch (emit) {
+      case E::kNone:
+        return ScanFused<T, false, E::kNone>(chunk, t, nullptr);
+      case E::kVerdicts:
+        return ScanFused<T, false, E::kVerdicts>(chunk, t, nullptr);
+      case E::kFull:
+        break;
+    }
+    return ScanFused<T, false, E::kFull>(chunk, t, nullptr);
+  };
+  return fused_->uses_compact_table() ? scan(fused_->table16())
+                                      : scan(fused_->table32());
 }
 
 bool StreamingSelector::FeedTerm(std::string_view chunk) {
@@ -898,19 +1121,7 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   switch (format_) {
     case Format::kCompactMarkup: {
       if (using_fused_fast_path()) {
-        FusedStepper stepper{fused_, machine_->ExportedState()};
-        ScanResult r = FeedMarkup(chunk, 0, stepper);
-        machine_->SyncExportedState(stepper.state);
-        if (r.status == ScanStatus::kDemote) {
-          // Degradation ladder: recovery synthesizes machine-level close
-          // events, which the fused byte table cannot express. Drop to the
-          // generic tier for the rest of the document; it re-detects the
-          // error at the same byte and owns the recovery decision.
-          demoted_ = true;
-          VirtualStepper generic{machine_};
-          r = FeedMarkup(chunk, r.resume_index, generic);
-        }
-        ok = r.status == ScanStatus::kOk;
+        ok = FeedFused(chunk);
       } else if (using_fused_dra_path()) {
         DraFusedStepper stepper{fused_dra_, machine_->ExportedDraConfig()};
         ScanResult r = FeedMarkup(chunk, 0, stepper);

@@ -114,12 +114,14 @@ struct SelectorCheckpoint;
 // (partial tags live in a fixed buffer; the well-formedness
 // label stack keeps its capacity across Reset and only grows past
 // kDepthReserve on pathologically deep documents). When the machine exports
-// a plain TagDfa (registerless tier) and the format is compact markup, the
-// scanner runs a fused ByteTagDfaRunner byte→state table with no virtual
-// dispatch per event (Section 4.3); when it instead exports a restricted
-// DRA (stackless tier, Lemma 3.8), the scanner runs a fused ByteDraRunner
-// that resolves depth, registers, and the comparison code inline — one rung
-// below the registerless table on the ladder, still byte-table speed.
+// a plain TagDfa (registerless tier, or the eager product of a registerless
+// batch) and the format is compact markup, the scanner runs a fused
+// ByteTagDfaRunner byte→state table with no virtual dispatch and no
+// data-dependent branch per event (Section 4.3); when it instead exports
+// a restricted DRA (stackless tier, Lemma 3.8), the scanner runs a fused
+// ByteDraRunner that resolves depth, registers, and the comparison code
+// inline — one rung below the registerless table on the ladder, still
+// byte-table speed.
 // Recovery demotes either fused tier to the generic machine tier for the
 // rest of the document (the degradation ladder); Reset() re-arms it.
 class StreamingSelector {
@@ -312,7 +314,8 @@ class StreamingSelector {
   int64_t TakeSegmentPeakDepth();
 
   // True when the fused byte→state fast path is active (registerless
-  // machine + compact markup + single-letter labels, not demoted).
+  // machine or eager product + compact markup + single-letter labels, not
+  // demoted).
   bool using_fused_fast_path() const {
     return fused_ != nullptr && !demoted_;
   }
@@ -343,13 +346,14 @@ class StreamingSelector {
   };
 
   // Steppers let the markup scanner run either through the virtual
-  // StreamMachine interface or the fused byte table with identical
+  // StreamMachine interface or the fused DRA table with identical
   // validation code. Only the virtual stepper can recover (kCanRecover);
   // the fused instantiation demotes instead.
   // kSingleMember marks steppers whose acceptance always fans out to
-  // member 0 alone: the fused tiers only ever run single-query machines
-  // (ProductTagMachine never exports a fused table), so their match
-  // emission skips the virtual AppendSelectedMembers enumeration.
+  // member 0 alone: the stackless fused tier only runs single-query
+  // machines, so its match emission skips the virtual
+  // AppendSelectedMembers enumeration. (The registerless byte table, which
+  // product machines do export, runs ScanFused instead of a stepper.)
   struct VirtualStepper {
     static constexpr bool kCanRecover = true;
     static constexpr bool kSingleMember = false;
@@ -357,17 +361,6 @@ class StreamingSelector {
     void Open(Symbol s, unsigned char) { machine->OnOpen(s); }
     void Close(Symbol s, unsigned char) { machine->OnClose(s); }
     bool Accepting() const { return machine->InAcceptingState(); }
-  };
-  struct FusedStepper {
-    static constexpr bool kCanRecover = false;
-    static constexpr bool kSingleMember = true;
-    const ByteTagDfaRunner* runner;
-    int state;
-    void Open(Symbol, unsigned char byte) { state = runner->Next(state, byte); }
-    void Close(Symbol, unsigned char byte) {
-      state = runner->Next(state, byte);
-    }
-    bool Accepting() const { return runner->IsAccepting(state); }
   };
   // Stackless fused tier: the whole DRA configuration (state, depth,
   // registers) lives in the stepper for the duration of a chunk; the
@@ -408,6 +401,35 @@ class StreamingSelector {
   template <typename Stepper>
   ScanResult FeedMarkup(std::string_view chunk, size_t start,
                         Stepper& stepper);
+
+  // The registerless fused kernel (compact markup over fused_): one
+  // resumable, branch-free pass that steps the byte table, validates the
+  // framing and updates every counter with selects. All of FeedMarkup's
+  // checks fold into one flag behind a single never-taken branch, which
+  // syncs the machine and hands the offending byte to FeedMarkup's
+  // VirtualStepper — so error codes, offsets, recovery and demotion are
+  // the generic tier's own. kProduct: the machine (ProductTagMachine)
+  // exports a per-state open-visit counter, which the kernel bumps for the
+  // per-member counts. kEmit: how matches reach the callback and sink.
+  // FeedFused picks the instantiation.
+  enum class FusedEmit : uint8_t {
+    kNone,      // neither installed: counters only
+    kVerdicts,  // single member, verdict-only sink, no callback: matches
+                // buffered branch-free and flushed in document order
+    kFull,      // otherwise: the out-of-line record paths per match and
+                // per span close
+  };
+  bool FeedFused(std::string_view chunk);
+  template <typename T, bool kProduct, FusedEmit kEmit>
+  bool ScanFused(std::string_view chunk, const T* table, int64_t* visits);
+  void RecordFusedMatch(bool product, int state, int64_t depth,
+                        int64_t start);
+  void FlushFusedHits(const size_t* indices, size_t count);
+  // Label slots the kernel needs above the stack top: one 64-byte block
+  // opens at most 64 elements, and every byte writes the slot just above
+  // the top.
+  static constexpr size_t kLabelBlockSlots = 64;
+
   bool FeedTerm(std::string_view chunk);
   bool FeedXml(std::string_view chunk);
   bool EmitOpen(Symbol symbol, int64_t offset, int64_t excise_from);
@@ -417,10 +439,11 @@ class StreamingSelector {
   // (kAutoClose); distinct from `offset`, the event-guard coordinate.
   bool EmitSynthClose(int64_t offset, int64_t span_end);
 
-  // Fans the just-opened node's match out per accepting machine member
-  // (query_id 0 for single-query machines) into the recorder. Only called
-  // when acceptance was sampled true and a sink is installed.
-  void RecordMatch(int64_t start, int64_t certainty);
+  // Fans the just-opened node's match (at nesting `depth`) out per
+  // accepting machine member (query_id 0 for single-query machines) into
+  // the recorder. Only called when acceptance was sampled true, a sink is
+  // installed, and the machine's state is in sync.
+  void RecordMatch(int64_t depth, int64_t start, int64_t certainty);
 
   StreamMachine* machine_;
   Format format_;

@@ -6,6 +6,7 @@
 #include "dra/machine.h"
 #include "dra/tag_dfa.h"
 #include "dra/byte_runner.h"
+#include "dra/streaming.h"
 #include "eval/registerless_query.h"
 #include "eval/stack_evaluator.h"
 #include "test_util.h"
@@ -142,6 +143,24 @@ TEST(ByteRunner, CompactAndWideTablesAgree) {
   EXPECT_EQ(wide.table16(), nullptr);
   EXPECT_NE(wide.table32(), nullptr);
 
+  // The streaming kernel runs either storage too: chunked Feed over each
+  // table must report what the one-scan runs do.
+  TagDfaMachine small_machine(&evaluator);
+  TagDfaMachine wide_machine(&padded);
+  ScannerTables tables =
+      ScannerTables::Build(StreamFormat::kCompactMarkup, alphabet);
+  StreamingSelector small_stream(&small_machine, StreamFormat::kCompactMarkup,
+                                 &alphabet, &tables, &small);
+  StreamingSelector wide_stream(&wide_machine, StreamFormat::kCompactMarkup,
+                                &alphabet, &tables, &wide);
+  auto stream = [](StreamingSelector& selector, std::string_view bytes) {
+    selector.Reset();
+    for (size_t i = 0; i < bytes.size(); i += 7) {
+      if (!selector.Feed(bytes.substr(i, 7))) return int64_t{-1};
+    }
+    return selector.Finish() ? selector.matches() : int64_t{-1};
+  };
+
   Rng rng(79);
   for (const Tree& tree : testing::SampleTrees(40, 2, &rng)) {
     std::string bytes = ToCompactMarkup(alphabet, Encode(tree));
@@ -149,6 +168,9 @@ TEST(ByteRunner, CompactAndWideTablesAgree) {
     EXPECT_EQ(wide.CountSelectionsPerByte(bytes),
               small.CountSelectionsPerByte(bytes));
     EXPECT_EQ(wide.RunValidated(bytes), small.RunValidated(bytes));
+    EXPECT_EQ(stream(wide_stream, bytes), small.CountSelections(bytes));
+    EXPECT_EQ(stream(small_stream, bytes), small.CountSelections(bytes));
+    EXPECT_TRUE(wide_stream.using_fused_fast_path());
   }
 }
 

@@ -16,11 +16,16 @@
 #include "dra/byte_runner.h"
 #include "dra/machine.h"
 #include "dra/paper_examples.h"
+#include "dra/multi_runner.h"
 #include "dra/streaming.h"
+#include "engine/multi_query.h"
+#include "engine/query_plan.h"
+#include "engine/session.h"
 #include "eval/el_synopsis.h"
 #include "eval/stack_evaluator.h"
 #include "eval/stackless_query.h"
 #include "eval/registerless_query.h"
+#include "query/rpq.h"
 #include "test_util.h"
 #include "testing/fault_injection.h"
 #include "trees/encoding.h"
@@ -282,6 +287,222 @@ TEST(Fuzz, SelectorAndValidatedRunnerAgreeOnMutants) {
         injector.Apply(static_cast<FaultKind>(kind), &mutated);
         expect_agree(mutated);
       }
+    }
+  }
+}
+
+// --- The fused kernel against its oracles --------------------------------
+
+// Everything a kernel run exposes: per-member counts, every StreamStats
+// counter, the first StreamError and the recovered-error records.
+struct KernelOutcome {
+  bool finished = false;
+  std::vector<int64_t> counts;
+  std::vector<int64_t> counts_after_each_feed;  // concatenated
+  std::vector<int64_t> stats;
+  StreamError error;
+  std::vector<StreamError> recovered;
+  std::vector<int64_t> recovered_spans;  // excise_from, resume_offset pairs
+
+  friend bool operator==(const KernelOutcome&, const KernelOutcome&) = default;
+};
+
+std::vector<int64_t> StatsFields(const StreamStats& s) {
+  return {s.bytes_fed,        s.chunks_fed,       s.events,
+          s.max_depth,        s.matches,          s.errors_recovered,
+          s.subtrees_skipped, s.error_offset,     s.matches_emitted,
+          s.pending_matches_peak, s.max_stack_depth, s.underflow_closes};
+}
+
+// Feeds `pieces` and collects the outcome; `counts` reads the per-member
+// counts, which must be exact at every Feed boundary, so they are kept
+// after every Feed as well as at the end.
+template <typename Stream, typename Counts>
+KernelOutcome DriveKernel(Stream& stream, StreamingSelector& selector,
+                          const std::vector<std::string_view>& pieces,
+                          Counts counts) {
+  KernelOutcome out;
+  bool fed = true;
+  for (std::string_view piece : pieces) {
+    fed = stream.Feed(piece);
+    const std::vector<int64_t> now = counts();
+    out.counts_after_each_feed.insert(out.counts_after_each_feed.end(),
+                                      now.begin(), now.end());
+    if (!fed) break;
+  }
+  out.finished = fed && stream.Finish();
+  out.counts = counts();
+  out.stats = StatsFields(selector.stats());
+  out.error = selector.stream_error();
+  for (const auto& r : selector.recovered_errors()) {
+    out.recovered.push_back(r.error);
+    out.recovered_spans.push_back(r.excise_from);
+    out.recovered_spans.push_back(r.resume_offset);
+  }
+  return out;
+}
+
+// Chunk schedules for one document: whole, 1-byte chunks, random cuts,
+// and cuts that put `focus` (an error offset) first and last in a chunk.
+std::vector<std::vector<size_t>> KernelSchedules(size_t size, int64_t focus,
+                                                 Rng& rng) {
+  std::vector<std::vector<size_t>> schedules = {{}};
+  std::vector<size_t> bytewise;
+  for (size_t i = 1; i < size; ++i) bytewise.push_back(i);
+  schedules.push_back(bytewise);
+  schedules.push_back(RandomCuts(rng, size, 6));
+  schedules.push_back(RandomCuts(rng, size, 40));
+  if (focus >= 0 && static_cast<size_t>(focus) <= size) {
+    const size_t f = static_cast<size_t>(focus);
+    schedules.push_back({f});                            // first byte
+    if (f + 1 <= size) schedules.push_back({f + 1});     // last byte
+    if (f >= 1 && f + 1 <= size) schedules.push_back({f - 1, f + 1});
+  }
+  return schedules;
+}
+
+// The registerless fused kernel runs every compact-markup Feed of a
+// Session on the byte table and of a kFusedProduct BatchSession on the
+// product table. Under every recovery policy, limit set, fault kind and
+// chunking (1-byte chunks included), it must report what the generic
+// tier reports on the same bytes and schedule, and on fail-fast what the
+// validated one-scan runners report.
+TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  auto plan = QueryPlan::Compile(Rpq::FromXPath("/a//b", alphabet), {});
+  ASSERT_NE(plan->fused(), nullptr);
+  auto batch_plan = MultiQueryPlan::Compile(
+      {{QuerySyntax::kXPath, "/a//b"},
+       {QuerySyntax::kXPath, "//c"},
+       {QuerySyntax::kXPath, "/a//a"}},
+      alphabet, {});
+  ASSERT_EQ(batch_plan->tier(), MultiTier::kFusedProduct);
+  ASSERT_NE(batch_plan->eager_fused(), nullptr);
+  const RecoveryPolicy policies[] = {RecoveryPolicy::kFailFast,
+                                     RecoveryPolicy::kSkipMalformedSubtree,
+                                     RecoveryPolicy::kAutoClose};
+
+  Session session(plan);
+  BatchSession batch(batch_plan);
+  ASSERT_TRUE(session.selector().using_fused_fast_path());
+  ASSERT_TRUE(batch.runner()->selector().using_fused_fast_path());
+  std::unique_ptr<StreamMachine> generic_machine = plan->NewMachine();
+  StreamingSelector generic(generic_machine.get(),
+                            StreamFormat::kCompactMarkup, &alphabet,
+                            &plan->scanner_tables(), /*fused=*/nullptr);
+  MultiTagDfaRunner generic_batch(StreamFormat::kCompactMarkup, &alphabet,
+                                  &batch_plan->scanner_tables(),
+                                  batch_plan->eager(), /*eager_fused=*/nullptr,
+                                  /*lazy=*/nullptr);
+  ASSERT_FALSE(generic.using_fused_fast_path());
+  ASSERT_FALSE(generic_batch.selector().using_fused_fast_path());
+
+  auto check = [&](const std::string& doc, const StreamLimits& limits,
+                   const std::string& what, Rng& rng) {
+    ValidatedRun single_oracle = plan->fused()->RunValidated(doc, limits);
+    MultiValidatedRun batch_oracle =
+        batch.runner()->RunValidated(doc, limits);
+    ASSERT_EQ(single_oracle.error, batch_oracle.error) << what;
+    for (RecoveryPolicy policy : policies) {
+      session.selector().set_recovery_policy(policy);
+      session.selector().set_limits(limits);
+      generic.set_recovery_policy(policy);
+      generic.set_limits(limits);
+      batch.set_recovery_policy(policy);
+      batch.set_limits(limits);
+      generic_batch.selector().set_recovery_policy(policy);
+      generic_batch.selector().set_limits(limits);
+      for (const std::vector<size_t>& cuts :
+           KernelSchedules(doc.size(), single_oracle.error.offset, rng)) {
+        const std::vector<std::string_view> pieces = SplitAt(doc, cuts);
+        const std::string label = what + " policy=" +
+                                  RecoveryPolicyName(policy) +
+                                  " pieces=" + std::to_string(pieces.size());
+        session.Reset();
+        generic.Reset();
+        batch.Reset();
+        generic_batch.Reset();
+        KernelOutcome fused = DriveKernel(
+            session, session.selector(), pieces,
+            [&] { return std::vector<int64_t>{session.matches()}; });
+        KernelOutcome slow = DriveKernel(
+            generic, generic, pieces,
+            [&] { return std::vector<int64_t>{generic.matches()}; });
+        ASSERT_EQ(fused, slow) << label;
+        KernelOutcome fused_batch =
+            DriveKernel(batch, batch.runner()->selector(), pieces,
+                        [&] { return batch.runner()->query_matches(); });
+        KernelOutcome slow_batch =
+            DriveKernel(generic_batch, generic_batch.selector(), pieces,
+                        [&] { return generic_batch.query_matches(); });
+        ASSERT_EQ(fused_batch, slow_batch) << label;
+        if (policy != RecoveryPolicy::kFailFast) continue;
+        // Fail-fast: the validated one-scan runners are the oracle.
+        ASSERT_EQ(fused.finished, single_oracle.ok()) << label;
+        ASSERT_EQ(fused.error, single_oracle.error) << label;
+        const StreamStats stats = session.stats();
+        ASSERT_EQ(stats.events, single_oracle.events) << label;
+        ASSERT_EQ(stats.max_depth, single_oracle.max_depth) << label;
+        ASSERT_EQ(session.selector().nodes(), single_oracle.nodes) << label;
+        ASSERT_EQ(session.matches(), single_oracle.matches) << label;
+        ASSERT_EQ(fused_batch.error, batch_oracle.error) << label;
+        ASSERT_EQ(fused_batch.counts, batch_oracle.matches) << label;
+        const StreamStats batch_stats = batch.stats();
+        ASSERT_EQ(batch_stats.events, batch_oracle.events) << label;
+        ASSERT_EQ(batch_stats.max_depth, batch_oracle.max_depth) << label;
+      }
+    }
+  };
+
+  // Clean documents: random trees plus two spines deeper than the label
+  // stack's reserve, so the stack grows inside the kernel.
+  std::vector<std::string> docs;
+  Rng rng(2300);
+  for (const Tree& tree : testing::SampleTrees(12, 3, &rng)) {
+    docs.push_back(ToCompactMarkup(alphabet, Encode(tree)));
+  }
+  for (size_t depth : {StreamingSelector::kDepthReserve + 100,
+                       2 * StreamingSelector::kDepthReserve + 7}) {
+    std::string open;
+    std::string close;
+    for (size_t d = 0; d < depth; ++d) {
+      const char letter = d == 0 ? 'a' : "abc"[rng.NextBelow(3)];
+      open.push_back(letter);
+      close.insert(close.begin(), static_cast<char>(letter - 'a' + 'A'));
+    }
+    docs.push_back(open + "bB cC" + close);
+  }
+  for (size_t d = 0; d < docs.size(); ++d) {
+    const std::string& doc = docs[d];
+    const std::string what = "doc " + std::to_string(d);
+    ValidatedRun clean = plan->fused()->RunValidated(doc);
+    ASSERT_TRUE(clean.ok()) << what;
+    // Limits exactly at the document's depth, event count and byte length
+    // (clean), and one below each (the error lands on the limit's byte).
+    std::vector<StreamLimits> limit_sets(1);
+    for (int64_t slack : {0, 1}) {
+      StreamLimits depth_limit;
+      depth_limit.max_depth = clean.max_depth - slack;
+      StreamLimits event_limit;
+      event_limit.max_events = clean.events - slack;
+      StreamLimits byte_limit;
+      byte_limit.max_document_bytes = static_cast<int64_t>(doc.size()) - slack;
+      for (const StreamLimits& limits : {depth_limit, event_limit,
+                                         byte_limit}) {
+        if (limits.Validate() == nullptr) limit_sets.push_back(limits);
+      }
+    }
+    for (size_t l = 0; l < limit_sets.size(); ++l) {
+      check(doc, limit_sets[l], what + " limits " + std::to_string(l), rng);
+    }
+    // Every fault kind, under the default limits.
+    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+      std::string mutated = doc;
+      FaultInjector injector(d * 977 + static_cast<uint64_t>(kind));
+      injector.Apply(static_cast<FaultKind>(kind), &mutated);
+      check(mutated, StreamLimits{},
+            what + " fault " + FaultKindName(static_cast<FaultKind>(kind)),
+            rng);
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "base/rng.h"
 #include "dra/byte_dra_runner.h"
 #include "dra/byte_runner.h"
+#include "dra/multi_runner.h"
 #include "dra/stream_error.h"
 #include "dra/streaming.h"
 #include "dra/tag_dfa.h"
@@ -864,6 +865,111 @@ TEST(MatchEvents, BatchTiersFanOutToSubmissionOrderQueryIds) {
       ASSERT_TRUE(session.Finish());
       EXPECT_EQ(session.query_matches(), baseline.query_matches)
           << tier_case.name;
+    }
+  }
+}
+
+// A verdict-only sink (wants_spans() false) that records the verdicts.
+class VerdictOnlySink : public MatchSink {
+ public:
+  explicit VerdictOnlySink(CollectingSink* into) : into_(into) {}
+  void OnMatch(const MatchEvent& event) override { into_->OnMatch(event); }
+  void OnSpanClose(const MatchEvent&) override {}
+  bool wants_spans() const override { return false; }
+
+ private:
+  CollectingSink* into_;
+};
+
+// One product runner's output through each emission path.
+struct ProductRun {
+  EventLog log;
+  std::vector<MatchEvent> verdicts;
+  std::vector<int64_t> callback_nodes;
+  std::vector<int64_t> query_matches;
+
+  friend bool operator==(const ProductRun&, const ProductRun&) = default;
+};
+
+// The fused-product tier runs the batch on the product's byte table; its
+// members fan out from the reached state's selection mask. Against the
+// same product on the generic tier (no byte table), a span-collecting
+// sink must see the same member ids, spans and order, and a verdict-only
+// sink and a callback the same events — clean, faulted (with mid-chunk
+// demotion under kSkipMalformedSubtree), under every chunking.
+TEST(MatchEvents, FusedProductBatchMatchesGenericTier) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  auto plan = MultiQueryPlan::Compile({{QuerySyntax::kXPath, "/a//b"},
+                                       {QuerySyntax::kXPath, "//c"},
+                                       {QuerySyntax::kXPath, "/a//b"},
+                                       {QuerySyntax::kXPath, "/a//c"}},
+                                      alphabet, {});
+  ASSERT_EQ(plan->tier(), MultiTier::kFusedProduct);
+  BatchSession session(plan);
+  MultiTagDfaRunner& fused = *session.runner();
+  MultiTagDfaRunner generic(StreamFormat::kCompactMarkup, &alphabet,
+                            &plan->scanner_tables(), plan->eager(),
+                            /*eager_fused=*/nullptr, /*lazy=*/nullptr);
+  ASSERT_TRUE(fused.selector().using_fused_fast_path());
+  ASSERT_FALSE(generic.selector().using_fused_fast_path());
+
+  auto run = [](MultiTagDfaRunner& runner, std::string_view text,
+                size_t chunk, RecoveryPolicy policy) {
+    ProductRun out;
+    StreamingSelector& selector = runner.selector();
+    selector.set_recovery_policy(policy);
+    CollectingSink spans;
+    out.log = CollectChunked(&selector, &spans, text, chunk);
+    out.query_matches = runner.query_matches();
+    // A verdict-only sink and a callback take the kernel's other emission
+    // paths.
+    CollectingSink verdicts;
+    VerdictOnlySink verdict_sink(&verdicts);
+    selector.set_match_sink(&verdict_sink);
+    selector.Reset();
+    for (std::string_view piece : Chunked(text, chunk)) {
+      if (!selector.Feed(piece)) break;
+    }
+    out.verdicts = verdicts.matches();
+    selector.set_match_sink(nullptr);
+    selector.set_match_callback(
+        [&out](int64_t node, Symbol) { out.callback_nodes.push_back(node); });
+    selector.Reset();
+    for (std::string_view piece : Chunked(text, chunk)) {
+      if (!selector.Feed(piece)) break;
+    }
+    selector.set_match_callback(nullptr);
+    return out;
+  };
+
+  Rng rng(2024);
+  std::vector<Tree> trees = testing::SampleTrees(12, 3, &rng);
+  for (size_t t = 0; t < trees.size(); ++t) {
+    const std::string clean = ToCompactMarkup(alphabet, Encode(trees[t]));
+    std::vector<std::string> texts = {clean};
+    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+      std::string mutated = clean;
+      FaultInjector injector(t * 31 + static_cast<uint64_t>(kind));
+      injector.Apply(static_cast<FaultKind>(kind), &mutated);
+      texts.push_back(mutated);
+    }
+    for (size_t x = 0; x < texts.size(); ++x) {
+      for (RecoveryPolicy policy : {RecoveryPolicy::kFailFast,
+                                    RecoveryPolicy::kSkipMalformedSubtree,
+                                    RecoveryPolicy::kAutoClose}) {
+        const ProductRun baseline = run(generic, texts[x], texts[x].size(), policy);
+        if (x == 0) {
+          ASSERT_TRUE(baseline.log.finished);
+          EXPECT_EQ(baseline.verdicts, baseline.log.matches);
+          EXPECT_EQ(static_cast<int64_t>(baseline.callback_nodes.size()),
+                    baseline.log.count);
+        }
+        for (size_t chunk : kChunkings) {
+          EXPECT_EQ(run(fused, texts[x], chunk, policy), baseline)
+              << "tree " << t << " text " << x << " chunk " << chunk
+              << " policy " << RecoveryPolicyName(policy);
+        }
+      }
     }
   }
 }
