@@ -746,7 +746,7 @@ void BM_StacklessInterpreterStreaming(benchmark::State& state) {
   std::unique_ptr<StreamMachine> machine = plan->NewMachine();
   StreamingSelector selector(machine.get(), Format::kCompactMarkup,
                              &plan->alphabet(), &plan->scanner_tables(),
-                             /*fused=*/nullptr, /*fused_dra=*/nullptr);
+                             /*fused=*/nullptr);
   SST_CHECK(selector.active_tier() ==
             StreamingSelector::Tier::kGenericMachine);
   const std::string& bytes = PaddedMarkupBytes();
@@ -866,6 +866,95 @@ void BM_StacklessFusedMixedBatchIndependent(benchmark::State& state) {
 
 BENCHMARK(BM_StacklessFusedMixedBatchScan);
 BENCHMARK(BM_StacklessFusedMixedBatchIndependent);
+
+// --- Dense streaming on the DRA rungs ------------------------------------
+// Every byte of the 1 MiB random document is structural, so the stage-1
+// skip does no work and the rows measure the per-tag step: a stackless
+// Session and a mixed BatchSession fed in 64 KiB chunks, each beside its
+// one-scan counterpart over the same bytes (relative floors in
+// bench_baselines.json pin the streaming rows to a share of the one-scan
+// rows).
+
+void BM_StacklessSessionDense(benchmark::State& state) {
+  auto plan = StacklessFusedPlan();
+  Session session(plan);
+  SST_CHECK(session.selector().active_tier() ==
+            StreamingSelector::Tier::kFusedDraTable);
+  const size_t chunk_size = static_cast<size_t>(state.range(0));
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  int64_t matches = 0;
+  for (auto _ : state) {
+    matches = DriveChunked(session, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
+  }
+  SST_CHECK(matches == plan->fused_dra()->CountSelections(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(matches);
+  state.SetLabel("stackless/session/markup-dense/chunk=" +
+                 std::to_string(chunk_size));
+}
+
+void BM_StacklessOneScanDense(benchmark::State& state) {
+  auto plan = StacklessFusedPlan();
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  int64_t matches = 0;
+  for (auto _ : state) {
+    matches = plan->fused_dra()->CountSelections(bytes);
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(matches);
+  state.SetLabel("stackless/one-scan/markup-dense");
+}
+
+void BM_MixedBatchSessionDense(benchmark::State& state) {
+  auto plan = MultiQueryPlan::Compile(
+      MixedBatch(), Alphabet::FromLetters("abc"), MultiQueryOptions{});
+  SST_CHECK(plan->tier() == MultiTier::kMixed);
+  BatchSession session(plan);
+  const size_t chunk_size = static_cast<size_t>(state.range(0));
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  std::vector<int64_t> counts;
+  for (auto _ : state) {
+    session.Reset();
+    for (size_t i = 0; i < bytes.size(); i += chunk_size) {
+      SST_CHECK(session.Feed(std::string_view(bytes).substr(i, chunk_size)));
+    }
+    SST_CHECK(session.Finish());
+    counts = session.query_matches();
+    benchmark::DoNotOptimize(counts.data());
+  }
+  SST_CHECK(counts == session.CountSelections(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["stackless_members"] =
+      static_cast<double>(plan->stats().stackless_members);
+  state.SetLabel("stackless/mixed-batch-session/markup-dense/chunk=" +
+                 std::to_string(chunk_size));
+}
+
+void BM_MixedBatchOneScanDense(benchmark::State& state) {
+  auto plan = MultiQueryPlan::Compile(
+      MixedBatch(), Alphabet::FromLetters("abc"), MultiQueryOptions{});
+  SST_CHECK(plan->tier() == MultiTier::kMixed);
+  BatchSession session(plan);
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  std::vector<int64_t> counts;
+  for (auto _ : state) {
+    counts = session.CountSelections(bytes);
+    benchmark::DoNotOptimize(counts.data());
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.SetLabel("stackless/mixed-batch-one-scan/markup-dense");
+}
+
+BENCHMARK(BM_StacklessSessionDense)->Arg(65536);
+BENCHMARK(BM_StacklessOneScanDense);
+BENCHMARK(BM_MixedBatchSessionDense)->Arg(65536);
+BENCHMARK(BM_MixedBatchOneScanDense);
 
 // --- Match-sink emission cost and latency-to-certainty ------------------
 // The streaming MatchSink pipeline replaces count-at-Finish with per-match

@@ -10,12 +10,14 @@ ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
       num_states_(dra->num_states),
       num_symbols_(dra->num_symbols),
       num_registers_(dra->num_registers),
-      num_codes_(dra->NumCmpCodes()) {
+      num_codes_(static_cast<size_t>(dra->NumCmpCodes())) {
   SST_CHECK_MSG(IsRestricted(*dra),
                 "fused byte execution requires a restricted DRA");
   SST_CHECK(num_registers_ <= Dra::kMaxRegisters);
-  for (int r = 0, p = 1; r < num_registers_; ++r, p *= 3) {
-    pow3_[static_cast<size_t>(r)] = p;
+  SST_CHECK_MSG(num_states_ < 65536, "the table stores 16-bit states");
+  for (size_t r = 0, p = 1; r < static_cast<size_t>(num_registers_);
+       ++r, p *= 3) {
+    pow3_[r] = p;
   }
   byte_symbol_.fill(-1);
   for (Symbol a = 0; a < num_symbols_; ++a) {
@@ -29,37 +31,28 @@ ByteDraRunner::ByteDraRunner(const Dra* dra, const Alphabet& alphabet)
   for (int q = 0; q < num_states_; ++q) {
     accepting_[q] = dra->accepting[q] ? 1 : 0;
   }
-  if (num_states_ < 65536) {
-    FillTables(&open_next16_, &close_next16_);
-  } else {
-    FillTables(&open_next32_, &close_next32_);
-  }
-}
-
-template <typename T>
-void ByteDraRunner::FillTables(std::vector<T>* open_next,
-                               std::vector<T>* close_next) {
-  const size_t open_rows =
+  const size_t rows =
       static_cast<size_t>(num_states_) * static_cast<size_t>(num_symbols_);
-  open_next->assign(open_rows, 0);
-  open_load_.assign(open_rows, 0);
-  close_next->assign(open_rows * static_cast<size_t>(num_codes_), 0);
-  close_load_.assign(open_rows * static_cast<size_t>(num_codes_), 0);
+  open_next_.assign(rows, 0);
+  open_load_.assign(rows, 0);
+  close_next_.assign(rows * num_codes_, 0);
+  close_load_.assign(rows * num_codes_, 0);
   for (int q = 0; q < num_states_; ++q) {
     for (Symbol a = 0; a < num_symbols_; ++a) {
-      const size_t open_index =
-          static_cast<size_t>(q) * num_symbols_ + a;
+      const size_t row = OpenRow(q, a);
       // Restricted invariant: the comparison vector on opening tags is
       // all-kLess (code 0); the other 3^r - 1 rows of the explicit table
       // are unreachable and simply dropped.
       const Dra::Action& open = dra_->At(q, /*is_close=*/false, a, 0);
-      (*open_next)[open_index] = static_cast<T>(open.next);
-      open_load_[open_index] = static_cast<uint16_t>(open.load_mask);
-      for (int code = 0; code < num_codes_; ++code) {
-        const Dra::Action& close = dra_->At(q, /*is_close=*/true, a, code);
-        const size_t close_index = open_index * num_codes_ + code;
-        (*close_next)[close_index] = static_cast<T>(close.next);
-        close_load_[close_index] = static_cast<uint16_t>(close.load_mask);
+      open_next_[row] = static_cast<uint16_t>(open.next);
+      open_load_[row] = static_cast<uint16_t>(open.load_mask);
+      for (size_t code = 0; code < num_codes_; ++code) {
+        const Dra::Action& close =
+            dra_->At(q, /*is_close=*/true, a, static_cast<int>(code));
+        close_next_[row * num_codes_ + code] =
+            static_cast<uint16_t>(close.next);
+        close_load_[row * num_codes_ + code] =
+            static_cast<uint16_t>(close.load_mask);
       }
     }
   }

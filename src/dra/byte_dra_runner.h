@@ -2,6 +2,7 @@
 #define SST_DRA_BYTE_DRA_RUNNER_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -36,18 +37,18 @@ namespace sst {
 //     decrement (kGreater can only mean reg == depth + 1).
 //
 // The (state, open/close, symbol, code) -> action table is flattened to
-// the same compact storage ByteTagDfaRunner uses: uint16_t next-state
-// entries when the DRA has fewer than 65536 states (int32_t otherwise),
-// plus a parallel uint16_t load-mask array (<= kMaxRegisters bits) applied
-// with a ctz walk. Rows are laid out open-major:
+// uint16_t next-state entries (plans cap DRAs at 4096 states, and the
+// constructor requires fewer than 65536) plus a parallel uint16_t
+// load-mask array (<= kMaxRegisters bits) applied with a ctz walk. Rows
+// are laid out open-major:
 //   open:  [state * num_symbols + symbol]                      (code == 0)
 //   close: [(state * num_symbols + symbol) * 3^r + code]
 class ByteDraRunner {
  public:
   // Label-driven convention, matching ByteTagDfaRunner: each symbol of
   // `dra` opens as its single lowercase-letter label in `alphabet` and
-  // closes as the uppercase form. Requires IsRestricted(*dra); `dra` is
-  // borrowed and must outlive the runner.
+  // closes as the uppercase form. Requires IsRestricted(*dra) and fewer
+  // than 65536 states; `dra` is borrowed and must outlive the runner.
   ByteDraRunner(const Dra* dra, const Alphabet& alphabet);
 
   // Streams the bytes; returns the number of pre-selected nodes (acceptance
@@ -83,53 +84,34 @@ class ByteDraRunner {
   ValidatedRun RunValidated(std::string_view bytes,
                             const StreamLimits& limits = {}) const;
 
-  // Incremental stepping for chunked scanners. The config is the caller's
-  // per-stream state; the runner itself stays immutable and shareable.
   DraConfig InitialConfig() const;
-  void Next(DraConfig* config, unsigned char byte) const {
-    if (byte >= 'a' && byte <= 'z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepOpen(config, s);
-    } else if (byte >= 'A' && byte <= 'Z') {
-      Symbol s = byte_symbol_[byte];
-      if (s >= 0) StepClose(config, s);
-    }
-  }
   bool IsAccepting(int state) const { return accepting_[state] != 0; }
 
-  // Symbol-level stepping for event-driven callers (the streaming
-  // scanner's stepper, the mixed multi-query tier). The symbol must be in
-  // [0, num_symbols).
+  // Symbol-level stepping for event-driven callers (the mixed multi-query
+  // machine on the generic tier, the one-scan and validated runners). The
+  // symbol must be in [0, num_symbols).
   void StepOpen(DraConfig* config, Symbol symbol) const {
-    ++config->depth;
-    // Restricted invariant: every register <= old depth < new depth, so
-    // the comparison code is 0 and the open row needs no code dimension.
-    size_t index =
-        static_cast<size_t>(config->state) * num_symbols_ + symbol;
-    ApplyLoads(config, open_load_[index]);
-    config->state = open_next16_.empty()
-                        ? open_next32_[index]
-                        : open_next16_[index];
+    StepOpenTo(config, symbol, ++config->depth);
   }
   void StepClose(DraConfig* config, Symbol symbol) const {
-    const int64_t depth = --config->depth;
-    int code = 0;
-    for (int r = 0; r < num_registers_; ++r) {
-      const int64_t reg = config->registers[static_cast<size_t>(r)];
-      // Branch-free digit: kLess=0, kEqual=1, kGreater=2. Restrictedness
-      // bounds every register by depth + 1, so the two comparisons cover
-      // all reachable cases.
-      code += (static_cast<int>(reg >= depth) + static_cast<int>(reg > depth)) *
-              pow3_[static_cast<size_t>(r)];
-    }
-    size_t index =
-        (static_cast<size_t>(config->state) * num_symbols_ + symbol) *
-            num_codes_ +
-        code;
-    ApplyLoads(config, close_load_[index]);
-    config->state = close_next16_.empty()
-                        ? close_next32_[index]
-                        : close_next16_[index];
+    StepCloseTo(config, symbol, --config->depth);
+  }
+
+  // The same steps with the depth after the tag passed in and
+  // config->depth left alone: the fused streaming kernel keeps one depth
+  // for every DRA it steps.
+  void StepOpenTo(DraConfig* config, Symbol symbol, int64_t depth) const {
+    // Restricted invariant: every register <= old depth < new depth, so
+    // the comparison code is 0 and the open row needs no code dimension.
+    const size_t index = OpenRow(config->state, symbol);
+    ApplyLoads(config, open_load_[index], depth);
+    config->state = open_next_[index];
+  }
+  void StepCloseTo(DraConfig* config, Symbol symbol, int64_t depth) const {
+    const size_t index =
+        OpenRow(config->state, symbol) * num_codes_ + CmpCode(*config, depth);
+    ApplyLoads(config, close_load_[index], depth);
+    config->state = close_next_[index];
   }
 
   // Symbol of an opening ('a'..'z') or closing ('A'..'Z') letter under the
@@ -138,24 +120,33 @@ class ByteDraRunner {
 
   int num_states() const { return num_states_; }
   int num_registers() const { return num_registers_; }
-  bool uses_compact_table() const { return !open_next16_.empty(); }
   const Dra* dra() const { return dra_; }
 
  private:
-  template <typename T>
-  void FillTables(std::vector<T>* open_next, std::vector<T>* close_next);
+  size_t OpenRow(int state, Symbol symbol) const {
+    return static_cast<size_t>(state) * num_symbols_ +
+           static_cast<size_t>(symbol);
+  }
 
-  void ApplyLoads(DraConfig* config, uint16_t load_mask) const {
+  // The comparison code of the registers against `depth`, one base-3 digit
+  // per register: kLess=0, kEqual=1, kGreater=2, computed branch-free.
+  // Restrictedness bounds every register by depth + 1, so the two
+  // comparisons cover all reachable cases.
+  size_t CmpCode(const DraConfig& config, int64_t depth) const {
+    size_t code = 0;
+    for (int r = 0; r < num_registers_; ++r) {
+      const int64_t reg = config.registers[static_cast<size_t>(r)];
+      code += (static_cast<size_t>(reg >= depth) +
+               static_cast<size_t>(reg > depth)) *
+              pow3_[static_cast<size_t>(r)];
+    }
+    return code;
+  }
+
+  void ApplyLoads(DraConfig* config, uint16_t load_mask,
+                  int64_t depth) const {
     for (uint32_t mask = load_mask; mask != 0; mask &= mask - 1) {
-#if defined(__GNUC__) || defined(__clang__)
-      config->registers[static_cast<size_t>(__builtin_ctz(mask))] =
-          config->depth;
-#else
-      uint32_t low = mask & (~mask + 1);
-      int bit = 0;
-      while ((low >> bit) != 1) ++bit;
-      config->registers[static_cast<size_t>(bit)] = config->depth;
-#endif
+      config->registers[static_cast<size_t>(std::countr_zero(mask))] = depth;
     }
   }
 
@@ -163,17 +154,14 @@ class ByteDraRunner {
   int num_states_;
   int num_symbols_;
   int num_registers_;
-  int num_codes_;  // 3^num_registers_
-  std::array<int, Dra::kMaxRegisters> pow3_{};
+  size_t num_codes_;  // 3^num_registers_
+  std::array<size_t, Dra::kMaxRegisters> pow3_{};
 
   // Open rows: num_states * num_symbols (code dimension collapsed to 0).
-  // Close rows: num_states * num_symbols * num_codes. Exactly one of the
-  // 16/32-bit pairs is populated, matching uses_compact_table().
-  std::vector<uint16_t> open_next16_;
-  std::vector<int32_t> open_next32_;
+  // Close rows: num_states * num_symbols * num_codes.
+  std::vector<uint16_t> open_next_;
   std::vector<uint16_t> open_load_;
-  std::vector<uint16_t> close_next16_;
-  std::vector<int32_t> close_next32_;
+  std::vector<uint16_t> close_next_;
   std::vector<uint16_t> close_load_;
   std::vector<uint8_t> accepting_;
   std::array<Symbol, 256> byte_symbol_;

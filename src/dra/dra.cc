@@ -160,67 +160,54 @@ Dra DraFromTagDfa(const TagDfa& dfa) {
 DraRunner::DraRunner(const Dra* dra) : dra_(dra) { Reset(); }
 
 void DraRunner::Reset() {
-  state_ = dra_->initial;
-  depth_ = 0;
-  registers_.assign(dra_->num_registers, 0);
-}
-
-DraConfig DraRunner::ExportedDraConfig() const {
-  DraConfig config;
-  config.state = state_;
-  config.depth = depth_;
-  for (int r = 0; r < dra_->num_registers; ++r) {
-    config.registers[static_cast<size_t>(r)] = registers_[r];
-  }
-  return config;
-}
-
-void DraRunner::SyncExportedDraConfig(const DraConfig& config) {
-  state_ = config.state;
-  depth_ = config.depth;
-  for (int r = 0; r < dra_->num_registers; ++r) {
-    registers_[r] = config.registers[static_cast<size_t>(r)];
-  }
+  config_ = DraConfig{};
+  config_.state = dra_->initial;
 }
 
 bool DraRunner::SaveConfig(std::vector<int64_t>* out) {
+  const std::span<const int64_t> regs = registers();
   out->clear();
-  out->push_back(state_);
-  out->push_back(depth_);
-  out->insert(out->end(), registers_.begin(), registers_.end());
+  out->push_back(config_.state);
+  out->push_back(config_.depth);
+  out->insert(out->end(), regs.begin(), regs.end());
   return true;
 }
 
 bool DraRunner::RestoreConfig(const std::vector<int64_t>& config) {
-  if (config.size() != 2 + registers_.size()) return false;
-  state_ = static_cast<int>(config[0]);
-  depth_ = config[1];
-  std::copy(config.begin() + 2, config.end(), registers_.begin());
+  const size_t num_registers = static_cast<size_t>(dra_->num_registers);
+  if (config.size() != 2 + num_registers) return false;
+  config_.state = static_cast<int>(config[0]);
+  config_.depth = config[1];
+  std::copy(config.begin() + 2, config.end(), config_.registers.begin());
   return true;
 }
 
 bool DraRunner::ConfigEqualsCurrent(const std::vector<int64_t>& config) const {
-  if (config.size() != 2 + registers_.size()) return false;
-  if (config[0] != state_ || config[1] != depth_) return false;
-  return std::equal(config.begin() + 2, config.end(), registers_.begin());
+  const std::span<const int64_t> regs = registers();
+  if (config.size() != 2 + regs.size()) return false;
+  if (config[0] != config_.state || config[1] != config_.depth) return false;
+  return std::equal(config.begin() + 2, config.end(), regs.begin());
 }
 
 void DraRunner::Step(Symbol symbol, bool is_close) {
-  depth_ += is_close ? -1 : 1;
+  const int64_t depth = config_.depth += is_close ? -1 : 1;
   int code = 0;
   int place = 1;
   for (int r = 0; r < dra_->num_registers; ++r) {
-    int digit = registers_[r] < depth_   ? Dra::kLess
-                : registers_[r] == depth_ ? Dra::kEqual
-                                          : Dra::kGreater;
+    const int64_t reg = config_.registers[static_cast<size_t>(r)];
+    int digit = reg < depth    ? Dra::kLess
+                : reg == depth ? Dra::kEqual
+                               : Dra::kGreater;
     code += digit * place;
     place *= 3;
   }
-  const Dra::Action& action = dra_->At(state_, is_close, symbol, code);
+  const Dra::Action& action = dra_->At(config_.state, is_close, symbol, code);
   for (int r = 0; r < dra_->num_registers; ++r) {
-    if (action.load_mask & (uint32_t{1} << r)) registers_[r] = depth_;
+    if (action.load_mask & (uint32_t{1} << r)) {
+      config_.registers[static_cast<size_t>(r)] = depth;
+    }
   }
-  state_ = action.next;
+  config_.state = action.next;
 }
 
 }  // namespace sst

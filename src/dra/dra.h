@@ -2,6 +2,7 @@
 #define SST_DRA_DRA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "automata/alphabet.h"
@@ -87,18 +88,24 @@ class DraRunner final : public StreamMachine {
   void Reset() override;
   void OnOpen(Symbol symbol) override { Step(symbol, /*is_close=*/false); }
   void OnClose(Symbol symbol) override { Step(symbol, /*is_close=*/true); }
-  bool InAcceptingState() const override { return dra_->accepting[state_]; }
+  bool InAcceptingState() const override {
+    return dra_->accepting[config_.state];
+  }
 
-  int state() const { return state_; }
-  int64_t depth() const { return depth_; }
-  const std::vector<int64_t>& registers() const { return registers_; }
+  int state() const { return config_.state; }
+  int64_t depth() const { return config_.depth; }
+  std::span<const int64_t> registers() const {
+    return {config_.registers.data(),
+            static_cast<size_t>(dra_->num_registers)};
+  }
 
   // Stackless fused fast path (see dra/byte_dra_runner.h): the runner IS a
-  // DRA wrapper, so byte scanners may run its transitions through a fused
-  // byte table and sync the configuration back per chunk.
-  const Dra* ExportDra() const override { return dra_; }
-  DraConfig ExportedDraConfig() const override;
-  void SyncExportedDraConfig(const DraConfig& config) override;
+  // DRA wrapper, so the scanner's fused kernel may step its configuration
+  // in place through a ByteDraRunner table of the same automaton.
+  std::span<const Dra* const> ExportDras() const override {
+    return {&dra_, 1};
+  }
+  DraConfig* ExportedDraConfigs() override { return &config_; }
 
   // Checkpoint protocol: state, depth, register bank — the O(1)
   // configuration Definition 2.1 promises.
@@ -110,9 +117,7 @@ class DraRunner final : public StreamMachine {
   void Step(Symbol symbol, bool is_close);
 
   const Dra* dra_;
-  int state_;
-  int64_t depth_;
-  std::vector<int64_t> registers_;
+  DraConfig config_;
 };
 
 }  // namespace sst

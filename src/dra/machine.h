@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "automata/alphabet.h"
@@ -15,12 +16,11 @@ struct TagDfa;
 struct Dra;
 
 // Full configuration of a depth-register automaton (Definition 2.1):
-// control state, depth counter, register values. This is the unit the
-// stackless fused fast path syncs between a DRA-backed StreamMachine and
-// the byte-level ByteDraRunner around each chunk, mirroring the
-// registerless ExportedState()/SyncExportedState(int) protocol below.
-// The register array is fixed-size (registers past num_registers are
-// ignored) so a config is copyable with no heap traffic per chunk.
+// control state, depth counter, register values. This is the unit a
+// DRA-backed StreamMachine exports to the scanner's fused kernel (see
+// ExportedDraConfigs below), which steps it in place with the
+// ByteDraRunner table. The register array is fixed-size (registers past
+// num_registers are ignored) so a config is copyable with no heap traffic.
 struct DraConfig {
   static constexpr int kMaxRegisters = 10;  // = Dra::kMaxRegisters
 
@@ -57,9 +57,10 @@ class StreamMachine {
   // state-independent: the fused tiers sample acceptance from the byte
   // table without syncing the machine mid-chunk, and the default must stay
   // correct there. Multi-query machines (ProductTagMachine) override this
-  // to enumerate the accepting members of the product mask; when they run
-  // on the fused byte table, the scanner syncs their state (via
-  // SyncExportedState) before every call.
+  // to enumerate the accepting members of the product mask and DRAs; when
+  // they run on the fused kernel, the scanner syncs the table state (via
+  // SyncExportedState) before every call, and the DRA configurations are
+  // current because the kernel steps them in place.
   virtual void AppendSelectedMembers(std::vector<int32_t>* out) const {
     out->push_back(0);
   }
@@ -74,27 +75,30 @@ class StreamMachine {
   virtual int ExportedState() const { return 0; }
   virtual void SyncExportedState(int /*state*/) {}
 
-  // Multi-member TagDfa exports (the eager product of a registerless
-  // batch) also expose a per-state open-visit counter, one slot per
-  // exported state: the fused scanner adds 1 at the state reached by every
-  // opening tag whose state accepts, and FoldExportedVisits adds the slots
+  // Stackless fast-path export (Lemma 3.8): machines that are, or carry,
+  // explicit restricted DRAs expose the automata plus their live
+  // configurations as parallel arrays — one DRA for a DraRunner, one per
+  // stackless member for a mixed batch (ProductTagMachine). The scanner's
+  // fused kernel steps the configurations in place through ByteDraRunner
+  // tables built from these automata, keeping one depth counter for all of
+  // them, and stores that depth into every config before it returns or
+  // hands the stream to the generic tier. A machine may export a TagDfa
+  // and DRAs together; the kernel then steps the table and every DRA on
+  // each tag.
+  virtual std::span<const Dra* const> ExportDras() const { return {}; }
+  virtual DraConfig* ExportedDraConfigs() { return nullptr; }
+
+  // Multi-member exports (a registerless or mixed batch) also expose an
+  // open-visit counter: one slot per exported TagDfa state, then one per
+  // exported DRA. The fused kernel adds 1 at the TagDfa state reached by
+  // every opening tag whose state accepts, and 1 at the slot of every DRA
+  // that accepts after an opening tag; FoldExportedVisits adds the slots
   // into the per-member counts (and zeroes them) once per Feed, before it
   // returns or hands the stream to the generic tier. Null — the default —
   // for single-member machines, whose one count is the scanner's own
   // matches.
   virtual int64_t* ExportedVisitCounts() { return nullptr; }
   virtual void FoldExportedVisits() {}
-
-  // Stackless fast-path export: machines that are (wrappers of) an explicit
-  // restricted DRA expose the automaton plus get/set access to their full
-  // configuration (state, depth, registers). Byte-level scanners then
-  // resolve the depth counter, the registers, and the 3^r comparison code
-  // inside the fused scan loop (ByteDraRunner) and sync the configuration
-  // back after each chunk. A machine exports at most one of
-  // ExportTagDfa()/ExportDra().
-  virtual const Dra* ExportDra() const { return nullptr; }
-  virtual DraConfig ExportedDraConfig() const { return {}; }
-  virtual void SyncExportedDraConfig(const DraConfig& /*config*/) {}
 
   // Checkpoint protocol (incremental re-evaluation, engine/incremental.h):
   // machines that can serialize their full configuration into a flat word

@@ -145,19 +145,23 @@ ProductTagMachine::ProductTagMachine(const TagDfaProduct* eager,
   SST_CHECK_MSG(lazy == nullptr || dras_.empty(),
                 "mixed batches ride the eager product only");
   size_t base = 0;
+  size_t product_visits = 0;
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.initial;
     base = static_cast<size_t>(eager_->arity);
-    if (dras_.empty()) {
-      visits_.assign(static_cast<size_t>(eager_->dfa.num_states), 0);
-    }
+    product_visits = static_cast<size_t>(eager_->dfa.num_states);
   } else if (lazy != nullptr) {
     lazy_cursor_.emplace(lazy);
     base = static_cast<size_t>(lazy->arity());
   }
+  dra_automata_.reserve(dras_.size());
   dra_configs_.reserve(dras_.size());
   for (const ByteDraRunner* dra : dras_) {
+    dra_automata_.push_back(dra->dra());
     dra_configs_.push_back(dra->InitialConfig());
+  }
+  if (lazy == nullptr) {
+    visits_.assign(product_visits + dras_.size(), 0);
   }
   counts_.assign(base + dras_.size(), 0);
 }
@@ -165,10 +169,10 @@ ProductTagMachine::ProductTagMachine(const TagDfaProduct* eager,
 void ProductTagMachine::Reset() {
   if (eager_ != nullptr) {
     eager_state_ = eager_->dfa.initial;
-    visits_.assign(visits_.size(), 0);
   } else if (lazy_cursor_) {
     lazy_cursor_->Reset();
   }
+  visits_.assign(visits_.size(), 0);
   for (size_t j = 0; j < dras_.size(); ++j) {
     dra_configs_[j] = dras_[j]->InitialConfig();
   }
@@ -239,14 +243,20 @@ void ProductTagMachine::AppendSelectedMembers(
 }
 
 const TagDfa* ProductTagMachine::ExportTagDfa() const {
-  return visits_.empty() ? nullptr : &eager_->dfa;
+  return eager_ != nullptr ? &eager_->dfa : nullptr;
 }
 
 void ProductTagMachine::FoldExportedVisits() {
-  for (size_t s = 0; s < visits_.size(); ++s) {
+  const size_t product_visits = visits_.size() - dras_.size();
+  for (size_t s = 0; s < product_visits; ++s) {
     if (visits_[s] == 0) continue;
     eager_->masks[s].AccumulateInto(counts_.data(), visits_[s]);
     visits_[s] = 0;
+  }
+  const size_t base = counts_.size() - dras_.size();
+  for (size_t j = 0; j < dras_.size(); ++j) {
+    counts_[base + j] += visits_[product_visits + j];
+    visits_[product_visits + j] = 0;
   }
 }
 
@@ -255,6 +265,18 @@ int64_t* ProductTagMachine::ExportedVisitCounts() {
 }
 
 // --- MultiTagDfaRunner ---------------------------------------------------
+
+namespace {
+
+// The selector's fused kernel runs compact markup only, and must cover the
+// whole machine: an eager product rides it only with its byte table.
+bool KernelReady(StreamFormat format, const TagDfaProduct* eager,
+                 const ByteTagDfaRunner* eager_fused) {
+  return format == StreamFormat::kCompactMarkup &&
+         (eager == nullptr || eager_fused != nullptr);
+}
+
+}  // namespace
 
 MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
                                      const Alphabet* alphabet,
@@ -274,10 +296,11 @@ MultiTagDfaRunner::MultiTagDfaRunner(StreamFormat format,
                         : nullptr),
       selector_(&machine_, format, alphabet,
                 tables != nullptr ? tables : owned_tables_.get(),
-                machine_.ExportTagDfa() != nullptr &&
-                        format == StreamFormat::kCompactMarkup
-                    ? eager_fused
-                    : nullptr) {
+                KernelReady(format, eager, eager_fused) ? eager_fused
+                                                        : nullptr,
+                KernelReady(format, eager, eager_fused)
+                    ? std::span<const ByteDraRunner* const>(mixed_dras_)
+                    : std::span<const ByteDraRunner* const>()) {
   SST_CHECK(eager_fused_ == nullptr || eager_ != nullptr);
   // The one-scan markup APIs need every label to be a single lowercase
   // letter (same eligibility rule as the fused single-query byte table).

@@ -29,13 +29,16 @@ namespace sst {
 //
 // The execution ladder mirrors the single-query degradation ladder:
 //   kFusedProduct   eagerly materialized product, fusable into a single
-//                   256-entry byte→state table (small batches);
+//                   256-entry byte→state table (small batches); streams
+//                   on the selector's fused kernel over compact markup;
 //   kLazyProduct    on-the-fly product shared across sessions — only
 //                   states the inputs actually reach materialize;
 //   kMixed          registerless + stackless batch in ONE scan: the
-//                   registerless members ride an eager product while each
-//                   stackless member steps its fused restricted DRA
-//                   (ByteDraRunner) alongside;
+//                   registerless members ride an eager product (and its
+//                   byte table) while each stackless member steps its
+//                   fused restricted DRA (ByteDraRunner) alongside — on
+//                   compact markup, all of them inside the one fused
+//                   kernel;
 //   kIndependent    per-query stepping (N automaton steps per event):
 //                   the landing spot when the lazy product hits its state
 //                   cap mid-stream, and the engine's tier for batches
@@ -121,17 +124,24 @@ class ProductTagMachine final : public StreamMachine {
 
   // Match-event fan-out (base/match_sink.h): member ids are the product
   // mask bits first, then the DRA members — the same member order as
-  // counts(). On the fused byte table the selector syncs the eager state
+  // counts(). On the fused kernel the selector syncs the eager state
   // before every call, so the mask read here is the reached state's.
   void AppendSelectedMembers(std::vector<int32_t>* out) const override;
 
-  // Fused byte-table export: an eager product with no DRA members (the
-  // kFusedProduct tier) is a plain TagDfa over the product states. The
-  // fused scanner counts per-state open visits, and FoldExportedVisits
-  // adds them into counts() through the states' selection masks.
+  // Fused-kernel export. An eager product is a plain TagDfa over the
+  // product states, and the DRA members export their automata and live
+  // configurations, so the kernel steps the product table and every DRA
+  // side by side (the kFusedProduct and kMixed tiers). The kernel counts
+  // per-state open visits and per-DRA accepting opens, and
+  // FoldExportedVisits adds them into counts() through the states'
+  // selection masks and the DRA member slots.
   const TagDfa* ExportTagDfa() const override;
   int ExportedState() const override { return eager_state_; }
   void SyncExportedState(int state) override { eager_state_ = state; }
+  std::span<const Dra* const> ExportDras() const override {
+    return dra_automata_;
+  }
+  DraConfig* ExportedDraConfigs() override { return dra_configs_.data(); }
   int64_t* ExportedVisitCounts() override;
   void FoldExportedVisits() override;
 
@@ -142,13 +152,15 @@ class ProductTagMachine final : public StreamMachine {
  private:
   const TagDfaProduct* eager_;
   int eager_state_ = 0;
-  // Exported tier only: per product state, accepting opens the fused
-  // scanner reached it with since the last fold (all zero between Feeds).
+  // Exported tiers only: per eager product state, accepting opens the
+  // fused kernel reached it with, then per DRA member, its accepting opens
+  // — since the last fold (all zero between Feeds).
   std::vector<int64_t> visits_;
   std::optional<LazyProductCursor> lazy_cursor_;
-  // Mixed batches: stackless members and their configurations, parallel
-  // arrays in member order (after the product bits).
+  // Mixed batches: stackless members, their automata and configurations,
+  // parallel arrays in member order (after the product bits).
   std::vector<const ByteDraRunner*> dras_;
+  std::vector<const Dra*> dra_automata_;
   std::vector<DraConfig> dra_configs_;
   std::vector<int64_t> counts_;
 };
@@ -170,8 +182,9 @@ struct MultiValidatedRun {
 // Multi-query front-end over one shared product: a chunk-capable
 // StreamingSelector (any format, full StreamError / recovery-policy
 // parity with single-query sessions) around a ProductTagMachine — which,
-// on the fused-product tier over compact markup, streams on the eager
-// product's byte table — plus one-scan byte-table entry points for
+// on the fused-product and mixed tiers over compact markup, streams on the
+// fused kernel (the eager product's byte table plus every stackless
+// member's fused DRA) — plus one-scan byte-table entry points for
 // compact markup that reuse the fused ByteTagDfaRunner machinery
 // (uint16/uint32 compaction, SWAR/SIMD whitespace bulk-skip) to emit
 // every query's selection count in a single table walk.
@@ -183,14 +196,16 @@ class MultiTagDfaRunner {
  public:
   // At most one of `eager` / `lazy` may be non-null; `eager_fused` is
   // the optional fused byte table of the eager product (built by the
-  // engine when the alphabet is markup-eligible; the streaming selector
-  // runs it too when there are no `mixed_dras` and the format is
-  // compact markup) and `tables` may be null
+  // engine when the alphabet is markup-eligible) and `tables` may be null
   // to build private scanner tables. `mixed_dras` adds stackless members
   // (mixed tier): fused restricted DRAs stepped alongside the product,
   // reported after the product bits in member order — composes with
   // `eager` (or stands alone for an all-stackless batch), never with
-  // `lazy`. All pointers are borrowed and must outlive the runner.
+  // `lazy`. On compact markup the streaming selector runs the fused
+  // kernel over `eager_fused` and `mixed_dras` whenever they cover the
+  // machine (an eager product needs its byte table); otherwise it steps
+  // the machine on the generic tier. All pointers are borrowed and must
+  // outlive the runner.
   MultiTagDfaRunner(StreamFormat format, const Alphabet* alphabet,
                     const ScannerTables* tables, const TagDfaProduct* eager,
                     const ByteTagDfaRunner* eager_fused,

@@ -3,6 +3,7 @@
 #include <bit>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "base/byte_scan.h"
 #include "base/check.h"
@@ -31,17 +32,12 @@ inline bool IsAsciiAlnum(unsigned char c) {
 #define SST_UNLIKELY(x) (x)
 #endif
 
-// Out-of-line recorder entry points for the fused scan loop. Keeping the
-// emission bodies (event construction, virtual sink dispatch, pending-
-// stack maintenance) out of the loop keeps its register allocation —
-// stepper state plus the structural iterator — intact; inlining them
-// costs ~10% whole-scan throughput on the padded corpus even though the
-// guard branches are never taken without a sink.
-SST_NOINLINE void RecordSingleMemberMatchSlow(MatchRecorder& recorder,
-                                              int64_t depth, int64_t start) {
-  recorder.OnMatch(0, depth, start, start + 1);
-}
-
+// Out-of-line recorder entry point for the scan loops. Keeping the
+// emission body (event construction, virtual sink dispatch, pending-stack
+// maintenance) out of the loop keeps its register allocation — stepper
+// state plus the structural iterator — intact; inlining it costs ~10%
+// whole-scan throughput on the padded corpus even though the guard
+// branches are never taken without a sink.
 SST_NOINLINE void RecordSpanClose(MatchRecorder& recorder, int64_t depth,
                                   int64_t end) {
   recorder.OnClose(depth, end);
@@ -87,6 +83,29 @@ ScannerTables ScannerTables::Build(StreamFormat format,
   return tables;
 }
 
+namespace {
+
+// The fused tables are keyed by the raw byte, so every symbol the stream
+// can mention must be a single lowercase letter.
+bool CompactLabels(const Alphabet& alphabet) {
+  for (Symbol s = 0; s < alphabet.size(); ++s) {
+    const std::string& label = alphabet.LabelOf(s);
+    if (label.size() != 1 || label[0] < 'a' || label[0] > 'z') return false;
+  }
+  return true;
+}
+
+// The machine shapes the kernel steps: DRAs only beside a visit counter
+// (a multi-member machine), or one DRA and no TagDfa (a single-member
+// stackless machine, whose configuration the kernel steps as a local).
+bool KernelCoversShape(StreamMachine* machine) {
+  const size_t num_dras = machine->ExportDras().size();
+  return num_dras == 0 || machine->ExportedVisitCounts() != nullptr ||
+         (num_dras == 1 && machine->ExportTagDfa() == nullptr);
+}
+
+}  // namespace
+
 StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
                                      const Alphabet* alphabet)
     : machine_(machine), format_(format), alphabet_(alphabet) {
@@ -94,72 +113,65 @@ StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
       std::make_unique<ScannerTables>(ScannerTables::Build(format, *alphabet));
   tables_ = owned_tables_.get();
   open_labels_.reserve(kDepthReserve + kLabelBlockSlots);
-  if (format_ == Format::kCompactMarkup) {
-    if (const TagDfa* dfa = machine_->ExportTagDfa()) {
-      // The fused table is keyed by the raw byte, so every symbol the
-      // stream can mention must be a single lowercase letter and covered
-      // by the automaton.
-      bool compact = alphabet_->size() <= dfa->num_symbols;
-      for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
-        const std::string& label = alphabet_->LabelOf(s);
-        compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-      }
-      if (compact) {
-        owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
-        fused_ = owned_fused_.get();
-      }
-    } else if (const Dra* dra = machine_->ExportDra()) {
-      // Stackless fused tier: same label eligibility, plus restrictedness
-      // (the fused table's open/close layout is only sound then) and a
-      // table budget — the close table has 3^r columns per (state, symbol)
-      // and an unrestricted register count could make it enormous.
-      bool compact = alphabet_->size() == dra->num_symbols &&
-                     IsRestricted(*dra) &&
-                     static_cast<int64_t>(dra->num_states) *
-                             dra->num_symbols * dra->NumCmpCodes() <=
-                         kFusedDraEntryBudget;
-      for (Symbol s = 0; compact && s < alphabet_->size(); ++s) {
-        const std::string& label = alphabet_->LabelOf(s);
-        compact = label.size() == 1 && label[0] >= 'a' && label[0] <= 'z';
-      }
-      if (compact) {
-        owned_fused_dra_ = std::make_unique<ByteDraRunner>(dra, *alphabet_);
-        fused_dra_ = owned_fused_dra_.get();
-      }
+  const TagDfa* dfa = machine_->ExportTagDfa();
+  const std::span<const Dra* const> dras = machine_->ExportDras();
+  // The kernel must cover the machine's whole export: its shape, the
+  // TagDfa (covered by the automaton's symbols) and every DRA, each
+  // restricted (the fused table's open/close layout is only sound then),
+  // within the 16-bit state width, and within a table budget — the close
+  // table has 3^r columns per (state, symbol) and an unrestricted register
+  // count could make it enormous.
+  bool eligible = format_ == Format::kCompactMarkup &&
+                  (dfa != nullptr || !dras.empty()) &&
+                  KernelCoversShape(machine_) && CompactLabels(*alphabet_) &&
+                  (dfa == nullptr || alphabet_->size() <= dfa->num_symbols);
+  for (const Dra* dra : dras) {
+    eligible = eligible && alphabet_->size() == dra->num_symbols &&
+               dra->num_states < 65536 && IsRestricted(*dra) &&
+               static_cast<int64_t>(dra->num_states) * dra->num_symbols *
+                       dra->NumCmpCodes() <=
+                   kFusedDraEntryBudget;
+  }
+  if (eligible) {
+    if (dfa != nullptr) {
+      owned_fused_ = std::make_unique<ByteTagDfaRunner>(*dfa, *alphabet_);
+      fused_ = owned_fused_.get();
+    }
+    for (const Dra* dra : dras) {
+      owned_fused_dras_.push_back(
+          std::make_unique<ByteDraRunner>(dra, *alphabet_));
+      fused_dras_.push_back(owned_fused_dras_.back().get());
     }
   }
   CheckTableAgreement();
   Reset();
 }
 
-StreamingSelector::StreamingSelector(StreamMachine* machine, Format format,
-                                     const Alphabet* alphabet,
-                                     const ScannerTables* tables,
-                                     const ByteTagDfaRunner* fused,
-                                     const ByteDraRunner* fused_dra)
+StreamingSelector::StreamingSelector(
+    StreamMachine* machine, Format format, const Alphabet* alphabet,
+    const ScannerTables* tables, const ByteTagDfaRunner* fused,
+    std::span<const ByteDraRunner* const> fused_dras)
     : machine_(machine),
       format_(format),
       alphabet_(alphabet),
       tables_(tables),
       fused_(fused),
-      fused_dra_(fused_dra) {
+      fused_dras_(fused_dras.begin(), fused_dras.end()) {
   SST_CHECK(tables_ != nullptr);
-  SST_CHECK(fused_ == nullptr || fused_dra_ == nullptr);
-  if (fused_ != nullptr) {
-    // The fused tier syncs the machine's exported state around each chunk,
-    // so a shared fused table is only sound for a machine that actually
-    // exports a TagDfa (of matching size) on the compact-markup format.
+  if (fused_ != nullptr || !fused_dras_.empty()) {
+    // The kernel steps the machine's exported state and configurations in
+    // place, so shared fused tables are only sound for a machine that
+    // exports exactly these automata (of matching size) on compact markup.
     SST_CHECK(format_ == Format::kCompactMarkup);
     const TagDfa* dfa = machine_->ExportTagDfa();
-    SST_CHECK(dfa != nullptr && dfa->num_states == fused_->num_states());
-  }
-  if (fused_dra_ != nullptr) {
-    // Likewise for the stackless tier: the full configuration is synced
-    // around each chunk, so the machine must export a DRA the shared fused
-    // table was built from.
-    SST_CHECK(format_ == Format::kCompactMarkup);
-    const Dra* dra = machine_->ExportDra();
-    SST_CHECK(dra != nullptr && dra->num_states == fused_dra_->num_states());
+    SST_CHECK((fused_ == nullptr) == (dfa == nullptr));
+    SST_CHECK(dfa == nullptr || dfa->num_states == fused_->num_states());
+    const std::span<const Dra* const> dras = machine_->ExportDras();
+    SST_CHECK(KernelCoversShape(machine_));
+    SST_CHECK(dras.size() == fused_dras_.size());
+    for (size_t j = 0; j < dras.size(); ++j) {
+      SST_CHECK(fused_dras_[j]->dra() == dras[j]);
+    }
   }
   open_labels_.reserve(kDepthReserve + kLabelBlockSlots);
   CheckTableAgreement();
@@ -176,28 +188,22 @@ void StreamingSelector::CheckTableAgreement() const {
     SST_CHECK((tables_->byte_class[c] == ScannerTables::kWs) ==
               ByteIsAsciiWs(static_cast<unsigned char>(c)));
   }
-  // The scanner tables and the fused byte table are built independently
-  // from the same Alphabet (satellite of the compile-once refactor:
-  // previously each layer derived its own copy with no cross-check). They
-  // must agree on every letter byte: same symbol, open/close polarity
-  // matching the case convention.
-  if (fused_ == nullptr && fused_dra_ == nullptr) return;
+  // The scanner tables and the fused tables are built independently from
+  // the same Alphabet. They must agree on every letter byte: same symbol,
+  // open/close polarity matching the case convention.
+  if (!has_kernel()) return;
   for (int c = 'a'; c <= 'z'; ++c) {
-    SST_CHECK(tables_->byte_class[c] == ScannerTables::kOpen);
-    SST_CHECK(tables_->byte_class[c - 'a' + 'A'] == ScannerTables::kClose);
+    const unsigned char open = static_cast<unsigned char>(c);
+    const unsigned char close = static_cast<unsigned char>(c - 'a' + 'A');
+    SST_CHECK(tables_->byte_class[open] == ScannerTables::kOpen);
+    SST_CHECK(tables_->byte_class[close] == ScannerTables::kClose);
     if (fused_ != nullptr) {
-      SST_CHECK(fused_->byte_symbol(static_cast<unsigned char>(c)) ==
-                tables_->byte_symbol[c]);
-      SST_CHECK(
-          fused_->byte_symbol(static_cast<unsigned char>(c - 'a' + 'A')) ==
-          tables_->byte_symbol[c - 'a' + 'A']);
+      SST_CHECK(fused_->byte_symbol(open) == tables_->byte_symbol[open]);
+      SST_CHECK(fused_->byte_symbol(close) == tables_->byte_symbol[close]);
     }
-    if (fused_dra_ != nullptr) {
-      SST_CHECK(fused_dra_->byte_symbol(static_cast<unsigned char>(c)) ==
-                tables_->byte_symbol[c]);
-      SST_CHECK(
-          fused_dra_->byte_symbol(static_cast<unsigned char>(c - 'a' + 'A')) ==
-          tables_->byte_symbol[c - 'a' + 'A']);
+    for (const ByteDraRunner* dra : fused_dras_) {
+      SST_CHECK(dra->byte_symbol(open) == tables_->byte_symbol[open]);
+      SST_CHECK(dra->byte_symbol(close) == tables_->byte_symbol[close]);
     }
   }
 #endif
@@ -513,122 +519,93 @@ bool StreamingSelector::EmitClose(Symbol symbol, int64_t offset,
   return true;
 }
 
-template <typename Stepper>
-StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
-    std::string_view chunk, size_t start, Stepper& stepper) {
+bool StreamingSelector::FeedMarkup(std::string_view chunk, size_t start) {
   const uint8_t* cls = tables_->byte_class.data();
   const Symbol* sym = tables_->byte_symbol.data();
-  // Shared error exit. The fused tier cannot synthesize machine-level
-  // events, so when the policy wants resynchronization it demotes (the
-  // generic tier re-detects the same error at the same byte and owns the
-  // recovery decision); otherwise Recover() decides between absorbing the
-  // error and failing fatally.
-  auto fail_or_recover = [&](const StreamError& err,
-                             ErrorToken token) -> ScanStatus {
-    if constexpr (!Stepper::kCanRecover) {
-      if (policy_ == RecoveryPolicy::kSkipMalformedSubtree) {
-        return ScanStatus::kDemote;
-      }
-    }
-    return Recover(err, token, err.offset) ? ScanStatus::kOk
-                                           : ScanStatus::kFatal;
+  // Shared error exit: Recover() decides between absorbing the error and
+  // failing fatally.
+  auto recover = [&](const StreamError& err, ErrorToken token) {
+    return Recover(err, token, err.offset);
   };
   // Structural-index scan: the stage-1 SIMD classification yields only
   // structural offsets, so the byte-class switch never sees whitespace
   // (CheckTableAgreement asserts the kWs class and the index classifier
-  // agree byte for byte). Error returns report the structural byte's own
-  // chunk index, so demotion resumes (FeedMarkup(chunk, resume_index, ...))
-  // land on exactly the byte the per-byte scan would have stopped at.
+  // agree byte for byte). The kernel hands over at a structural byte's
+  // own chunk index, so this scan resumes on exactly the byte the
+  // per-byte scan would have stopped at.
   StructuralIterator structural(chunk.data() + start, chunk.size() - start);
   for (size_t i = start + structural.Next(); i < chunk.size();
        i = start + structural.Next()) {
     unsigned char c = static_cast<unsigned char>(chunk[i]);
-    if constexpr (Stepper::kCanRecover) {
-      if (in_skip_) {
-        // Framing-only scan of the skipped region: O(1) state, no machine
-        // events, until the close that ends the innermost open element.
-        switch (cls[c]) {
-          case ScannerTables::kOpen:
-            ++skip_depth_;
-            break;
-          case ScannerTables::kClose:
-            if (skip_depth_ > 0) {
-              --skip_depth_;
-            } else if (!ResyncClose(chunk_base_ + static_cast<int64_t>(i) +
-                                    1)) {
-              return {ScanStatus::kFatal, i};
-            }
-            break;
-          default:
-            break;  // junk inside a region that is already being excised
-        }
-        continue;
+    if (in_skip_) {
+      // Framing-only scan of the skipped region: O(1) state, no machine
+      // events, until the close that ends the innermost open element.
+      switch (cls[c]) {
+        case ScannerTables::kOpen:
+          ++skip_depth_;
+          break;
+        case ScannerTables::kClose:
+          if (skip_depth_ > 0) {
+            --skip_depth_;
+          } else if (!ResyncClose(chunk_base_ + static_cast<int64_t>(i) +
+                                  1)) {
+            return false;
+          }
+          break;
+        default:
+          break;  // junk inside a region that is already being excised
       }
+      continue;
     }
     switch (cls[c]) {
       case ScannerTables::kOpen: {
         Symbol s = sym[c];
         if (s < 0) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(
+                  MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
+                  ErrorToken::kOpenLike)) {
+            return false;
+          }
           break;
         }
         if (depth_ == 0 && saw_root_) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kTrailingContent, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kTrailingContent,
+                                 chunk_base_ + i, -1, s),
+                       ErrorToken::kOpenLike)) {
+            return false;
+          }
           break;
         }
         if (depth_ >= limits_.max_depth) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kDepthLimitExceeded, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kDepthLimitExceeded,
+                                 chunk_base_ + i, -1, s),
+                       ErrorToken::kOpenLike)) {
+            return false;
+          }
           break;
         }
         if (events_ >= limits_.max_events) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kEventLimitExceeded, chunk_base_ + i),
-              ErrorToken::kOpenLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kEventLimitExceeded,
+                                 chunk_base_ + i),
+                       ErrorToken::kOpenLike)) {
+            return false;
+          }
           break;
         }
         saw_root_ = true;
         ++depth_;
         if (depth_ > max_depth_) max_depth_ = depth_;
         open_labels_.push_back(s);
-        stepper.Open(s, c);
+        machine_->OnOpen(s);
         ++events_;
-        if (stepper.Accepting()) {
+        if (machine_->InAcceptingState()) {
           ++matches_;
           if (match_callback_) match_callback_(nodes_, s);
           // Compact-markup tokens are one byte: the span starts at the
-          // letter and the verdict is certain at the very next byte. On
-          // the fused DRA tier acceptance comes from the DRA table, so the
-          // recorder path costs one predictable branch when no sink is
-          // installed; single-member steppers also skip the virtual
-          // AppendSelectedMembers fan-out (always {0} there).
+          // letter and the verdict is certain at the very next byte.
           if (recorder_.active()) {
-            if constexpr (Stepper::kSingleMember) {
-              const int64_t start = chunk_base_ + static_cast<int64_t>(i);
-              if (MatchSink* vsink = recorder_.verdict_only_sink()) {
-                MatchEvent event;
-                event.start_offset = start;
-                event.certainty_offset = start + 1;
-                vsink->OnMatch(event);
-                recorder_.CountEmitted();
-              } else {
-                RecordSingleMemberMatchSlow(recorder_, depth_, start);
-              }
-            } else {
-              RecordMatch(depth_, chunk_base_ + static_cast<int64_t>(i),
-                          chunk_base_ + static_cast<int64_t>(i) + 1);
-            }
+            RecordMatch(depth_, chunk_base_ + static_cast<int64_t>(i),
+                        chunk_base_ + static_cast<int64_t>(i) + 1);
           }
         }
         ++nodes_;
@@ -637,33 +614,35 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
       case ScannerTables::kClose: {
         Symbol s = sym[c];
         if (s < 0) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(
+                  MakeError(StreamErrorCode::kUnknownLabel, chunk_base_ + i),
+                  ErrorToken::kCloseLike)) {
+            return false;
+          }
           break;
         }
         if (open_labels_.empty()) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kUnbalancedClose, chunk_base_ + i,
-                        -1, s),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kUnbalancedClose,
+                                 chunk_base_ + i, -1, s),
+                       ErrorToken::kCloseLike)) {
+            return false;
+          }
           break;
         }
         if (open_labels_.back() != s) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kLabelMismatch, chunk_base_ + i,
-                        open_labels_.back(), s),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kLabelMismatch,
+                                 chunk_base_ + i, open_labels_.back(), s),
+                       ErrorToken::kCloseLike)) {
+            return false;
+          }
           break;
         }
         if (events_ >= limits_.max_events) {
-          ScanStatus st = fail_or_recover(
-              MakeError(StreamErrorCode::kEventLimitExceeded, chunk_base_ + i),
-              ErrorToken::kCloseLike);
-          if (st != ScanStatus::kOk) return {st, i};
+          if (!recover(MakeError(StreamErrorCode::kEventLimitExceeded,
+                                 chunk_base_ + i),
+                       ErrorToken::kCloseLike)) {
+            return false;
+          }
           break;
         }
         open_labels_.pop_back();
@@ -672,31 +651,32 @@ StreamingSelector::ScanResult StreamingSelector::FeedMarkup(
                           chunk_base_ + static_cast<int64_t>(i) + 1);
         }
         --depth_;
-        stepper.Close(s, c);
+        machine_->OnClose(s);
         ++events_;
         break;
       }
       default: {
-        ScanStatus st = fail_or_recover(
-            MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
-            ErrorToken::kJunk);
-        if (st != ScanStatus::kOk) return {st, i};
+        if (!recover(MakeError(StreamErrorCode::kBadByte, chunk_base_ + i),
+                     ErrorToken::kJunk)) {
+          return false;
+        }
         break;
       }
     }
   }
-  return {ScanStatus::kOk, chunk.size()};
+  return true;
 }
 
 void StreamingSelector::RecordFusedMatch(bool product, int state,
                                          int64_t depth, int64_t start) {
   // Compact-markup tokens are one byte: the span starts at the letter and
-  // the verdict is certain at the very next byte. Product members fan out
-  // from the mask of the state just reached, so the machine's state is set
-  // first (an O(1) store; the visit counts fold once per Feed);
-  // single-member machines always answer member 0.
+  // the verdict is certain at the very next byte. Multi-member machines
+  // fan out from the table state just reached (set first: an O(1) store;
+  // the visit counts fold once per Feed) and from their DRA
+  // configurations, which the kernel steps in place; single-member
+  // machines always answer member 0.
   if (product) {
-    machine_->SyncExportedState(state);
+    if (fused_ != nullptr) machine_->SyncExportedState(state);
     RecordMatch(depth, start, start + 1);
   } else {
     recorder_.OnMatch(0, depth, start, start + 1);
@@ -714,15 +694,18 @@ void StreamingSelector::FlushFusedHits(const size_t* indices, size_t count) {
   }
 }
 
-template <typename T, bool kProduct, StreamingSelector::FusedEmit kEmit>
+template <typename T, bool kDras, bool kProduct,
+          StreamingSelector::FusedEmit kEmit>
 bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
                                   int64_t* visits) {
+  constexpr bool kTable = !std::is_void_v<T>;
+  static_assert(kTable || kDras);
   // The compact-markup byte_symbol table is -1 on every byte that is not
   // a known letter, so `s < 0` alone rejects junk and unknown labels, and
   // the tag kind of a letter is its bit 5 (set on 'a'..'z', clear on
-  // 'A'..'Z'): no per-event branch on the kind reaches the compiler.
+  // 'A'..'Z'): the framing never branches on the kind.
   const Symbol* sym = tables_->byte_symbol.data();
-  const uint8_t* accepting = fused_->accepting();
+  const uint8_t* accepting = kTable ? fused_->accepting() : nullptr;
   const uint64_t max_depth_limit = static_cast<uint64_t>(limits_.max_depth);
   const char* data = chunk.data();
   const size_t n = chunk.size();
@@ -737,7 +720,24 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
   constexpr size_t kHitCap = kEmit == FusedEmit::kVerdicts ? 256 : 1;
   size_t hit_index[kHitCap];
   size_t hits = 0;
-  size_t state = static_cast<size_t>(machine_->ExportedState());
+  size_t state = kTable ? static_cast<size_t>(machine_->ExportedState()) : 0;
+  // The DRA side-cars of a multi-member machine (mixed batch) step their
+  // configurations in place in the machine, with their open-visit slots
+  // after the table's. A single-member machine exports one DRA and no
+  // table (a stackless Session; the constructors hold machines to that):
+  // its configuration is stepped as a local copy, which the label-stack
+  // stores cannot alias, so it stays out of memory round trips, and is
+  // stored back on exit (EXPERIMENTS E22: +19% over stepping it in place).
+  constexpr bool kOneDra = kDras && !kProduct;
+  static_assert(!(kOneDra && kTable));
+  const ByteDraRunner* const* dras = fused_dras_.data();
+  const size_t num_dras = kDras ? fused_dras_.size() : 0;
+  DraConfig* configs = kDras ? machine_->ExportedDraConfigs() : nullptr;
+  const ByteDraRunner* one_dra = kOneDra ? dras[0] : nullptr;
+  DraConfig one = kOneDra ? configs[0] : DraConfig{};
+  int64_t* dra_visits =
+      kProduct && kDras ? visits + (kTable ? fused_->num_states() : 0)
+                        : nullptr;
   // Opens are (events + depth) / 2 from any starting point, so nodes are
   // not counted per byte; and the stream has seen its root iff it has
   // seen an event, so trailing content needs no flag of its own.
@@ -749,12 +749,12 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
   Symbol* labels = open_labels_.data();
   // Steps one structural byte; true on any framing or limit violation,
   // with nothing consumed. Every per-byte check of FeedMarkup is folded
-  // into one flag so the only branch is the never-taken exit: a bad byte
-  // or an unknown label (s < 0), a close at depth 0 or an open past the
-  // depth limit (next_depth outside [0, max_depth]), any byte after the
-  // root closed (trailing content, or an unbalanced close), and a close
-  // that does not match the top label. (The event limit is applied per
-  // block, below.)
+  // into one flag so the only validation branch is the never-taken exit:
+  // a bad byte or an unknown label (s < 0), a close at depth 0 or an open
+  // past the depth limit (next_depth outside [0, max_depth]), any byte
+  // after the root closed (trailing content, or an unbalanced close), and
+  // a close that does not match the top label. (The event limit is
+  // applied per block, below.)
   auto step = [&](size_t i) -> bool {
     const unsigned char c = static_cast<unsigned char>(data[i]);
     const Symbol s = sym[c];
@@ -770,8 +770,39 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
                      (close & (top != s));
     if (SST_UNLIKELY(bad)) return true;
     labels[depth] = s;
-    state = table[state * 256 + c];
-    const int64_t selected = open & accepting[state];
+    int64_t accept = 0;
+    if constexpr (kTable) {
+      state = table[state * 256 + c];
+      accept = accepting[state];
+      if constexpr (kProduct) visits[state] += open & accept;
+    }
+    // The DRA step is the kernel's one branch on the tag kind: a close
+    // resolves the comparison code an open never needs, and the kind comes
+    // in runs (spines open and close in sequence), so the branch predicts
+    // well and beats the branch-free form, which computes the code on
+    // every tag.
+    if constexpr (kOneDra) {
+      if (open) {
+        one_dra->StepOpenTo(&one, s, next_depth);
+        accept = one_dra->IsAccepting(one.state);
+      } else {
+        one_dra->StepCloseTo(&one, s, next_depth);
+      }
+    } else if constexpr (kDras) {
+      if (open) {
+        for (size_t j = 0; j < num_dras; ++j) {
+          dras[j]->StepOpenTo(&configs[j], s, next_depth);
+          const int64_t hit = dras[j]->IsAccepting(configs[j].state);
+          dra_visits[j] += hit;
+          accept |= hit;
+        }
+      } else {
+        for (size_t j = 0; j < num_dras; ++j) {
+          dras[j]->StepCloseTo(&configs[j], s, next_depth);
+        }
+      }
+    }
+    const int64_t selected = open & accept;
     if constexpr (kEmit == FusedEmit::kVerdicts) {
       hit_index[hits] = i;
       hits += static_cast<size_t>(selected);
@@ -796,7 +827,6 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
     max_depth = depth > max_depth ? depth : max_depth;
     ++events;
     matches += selected;
-    if constexpr (kProduct) visits[state] += selected;
     return false;
   };
   size_t stop = n;
@@ -854,22 +884,26 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
   max_depth_ = max_depth;
   events_ = events;
   matches_ = matches;
-  machine_->SyncExportedState(static_cast<int>(state));
+  // Sync the machine: the table state, the one depth every DRA shares,
+  // and the member counts.
+  if constexpr (kTable) machine_->SyncExportedState(static_cast<int>(state));
+  if constexpr (kOneDra) configs[0] = one;
+  for (size_t j = 0; j < num_dras; ++j) configs[j].depth = depth;
   if constexpr (kProduct) machine_->FoldExportedVisits();
   if (stop == n) return true;
   // The offending byte goes to the generic tier, which re-detects the
   // same error at the same offset. Under kSkipMalformedSubtree that
-  // recovery synthesizes machine-level closes the byte table cannot
-  // express, so the stream drops to the generic tier for the rest of the
-  // document (the degradation ladder); otherwise the error is fatal.
+  // recovery synthesizes machine-level closes the kernel cannot express,
+  // so the stream drops to the generic tier for the rest of the document
+  // (the degradation ladder); otherwise the error is fatal.
   if (policy_ == RecoveryPolicy::kSkipMalformedSubtree) demoted_ = true;
-  VirtualStepper generic{machine_};
-  return FeedMarkup(chunk, stop, generic).status == ScanStatus::kOk;
+  return FeedMarkup(chunk, stop);
 }
 
 bool StreamingSelector::FeedFused(std::string_view chunk) {
-  // Picks the kernel instantiation: table width, product (the machine
-  // exports a visit counter), and emission policy.
+  // Picks the kernel instantiation: table width (or no table), DRA
+  // side-cars, product (the machine exports a visit counter), and
+  // emission policy.
   using E = FusedEmit;
   int64_t* visits = machine_->ExportedVisitCounts();
   E emit = E::kNone;
@@ -880,23 +914,39 @@ bool StreamingSelector::FeedFused(std::string_view chunk) {
   } else if (recorder_.active()) {
     emit = E::kVerdicts;
   }
-  auto scan = [&]<typename T>(const T* t) {
-    if (visits != nullptr) {
-      return emit == E::kFull ? ScanFused<T, true, E::kFull>(chunk, t, visits)
-                              : ScanFused<T, true, E::kNone>(chunk, t, visits);
+  auto scan = [&]<typename T, bool kDras>(const T* t,
+                                          std::bool_constant<kDras>) {
+    auto product = [&] {
+      return emit == E::kFull
+                 ? ScanFused<T, kDras, true, E::kFull>(chunk, t, visits)
+                 : ScanFused<T, kDras, true, E::kNone>(chunk, t, visits);
+    };
+    // A table beside DRAs is a multi-member machine's (mixed batch).
+    if constexpr (kDras && !std::is_void_v<T>) {
+      return product();
+    } else {
+      if (visits != nullptr) return product();
+      switch (emit) {
+        case E::kNone:
+          return ScanFused<T, kDras, false, E::kNone>(chunk, t, nullptr);
+        case E::kVerdicts:
+          return ScanFused<T, kDras, false, E::kVerdicts>(chunk, t, nullptr);
+        case E::kFull:
+          break;
+      }
+      return ScanFused<T, kDras, false, E::kFull>(chunk, t, nullptr);
     }
-    switch (emit) {
-      case E::kNone:
-        return ScanFused<T, false, E::kNone>(chunk, t, nullptr);
-      case E::kVerdicts:
-        return ScanFused<T, false, E::kVerdicts>(chunk, t, nullptr);
-      case E::kFull:
-        break;
-    }
-    return ScanFused<T, false, E::kFull>(chunk, t, nullptr);
   };
-  return fused_->uses_compact_table() ? scan(fused_->table16())
-                                      : scan(fused_->table32());
+  if (fused_ == nullptr) {
+    return scan(static_cast<const void*>(nullptr), std::true_type{});
+  }
+  const bool dras = !fused_dras_.empty();
+  if (fused_->uses_compact_table()) {
+    return dras ? scan(fused_->table16(), std::true_type{})
+                : scan(fused_->table16(), std::false_type{});
+  }
+  return dras ? scan(fused_->table32(), std::true_type{})
+              : scan(fused_->table32(), std::false_type{});
 }
 
 bool StreamingSelector::FeedTerm(std::string_view chunk) {
@@ -1119,29 +1169,10 @@ bool StreamingSelector::Feed(std::string_view chunk) {
   ++chunks_fed_;
   bool ok = true;
   switch (format_) {
-    case Format::kCompactMarkup: {
-      if (using_fused_fast_path()) {
-        ok = FeedFused(chunk);
-      } else if (using_fused_dra_path()) {
-        DraFusedStepper stepper{fused_dra_, machine_->ExportedDraConfig()};
-        ScanResult r = FeedMarkup(chunk, 0, stepper);
-        machine_->SyncExportedDraConfig(stepper.config);
-        if (r.status == ScanStatus::kDemote) {
-          // Same degradation ladder as the registerless tier: the machine
-          // holds the configuration reached just before the offending byte
-          // (synced above), so the generic re-run continues seamlessly and
-          // re-detects the error at the same offset.
-          demoted_ = true;
-          VirtualStepper generic{machine_};
-          r = FeedMarkup(chunk, r.resume_index, generic);
-        }
-        ok = r.status == ScanStatus::kOk;
-      } else {
-        VirtualStepper stepper{machine_};
-        ok = FeedMarkup(chunk, 0, stepper).status == ScanStatus::kOk;
-      }
+    case Format::kCompactMarkup:
+      ok = has_kernel() && !demoted_ ? FeedFused(chunk)
+                                     : FeedMarkup(chunk, 0);
       break;
-    }
     case Format::kCompactTerm:
       ok = FeedTerm(chunk);
       break;

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -113,17 +114,17 @@ struct SelectorCheckpoint;
 // the SIMD/SWAR kernels of base/byte_scan.h rather than byte by byte
 // (partial tags live in a fixed buffer; the well-formedness
 // label stack keeps its capacity across Reset and only grows past
-// kDepthReserve on pathologically deep documents). When the machine exports
-// a plain TagDfa (registerless tier, or the eager product of a registerless
-// batch) and the format is compact markup, the scanner runs a fused
-// ByteTagDfaRunner byte→state table with no virtual dispatch and no
-// data-dependent branch per event (Section 4.3); when it instead exports
-// a restricted DRA (stackless tier, Lemma 3.8), the scanner runs a fused
-// ByteDraRunner that resolves depth, registers, and the comparison code
-// inline — one rung below the registerless table on the ladder, still
-// byte-table speed.
-// Recovery demotes either fused tier to the generic machine tier for the
-// rest of the document (the degradation ladder); Reset() re-arms it.
+// kDepthReserve on pathologically deep documents). On compact markup, a
+// machine that exports a plain TagDfa (registerless tier, or the eager
+// product of a batch), one or more restricted DRAs (stackless tier,
+// Lemma 3.8, or the stackless members of a mixed batch), or both, runs on
+// one validated kernel: per structural byte it steps the fused
+// ByteTagDfaRunner byte→state table (Section 4.3) and every fused
+// ByteDraRunner, which resolves depth, registers and the comparison code
+// inline — no virtual dispatch, and no data-dependent branch per event
+// beyond the DRA step's one branch on the tag kind.
+// Recovery demotes the kernel to the generic machine tier for the rest of
+// the document (the degradation ladder); Reset() re-arms it.
 class StreamingSelector {
  public:
   using Format = StreamFormat;
@@ -131,8 +132,10 @@ class StreamingSelector {
   // Which rung of the degradation ladder is executing events. The stack
   // tier (StackQueryEvaluator) — below all of these — is chosen by the
   // caller as the machine itself; the selector can only report the rungs
-  // it switches between internally: the registerless fused byte table, the
-  // stackless fused DRA table, and the generic virtual machine.
+  // it switches between internally: the fused kernel over a byte table
+  // alone (registerless, fused-product batch), the fused kernel stepping
+  // restricted DRAs (stackless, mixed batch; with or without a table),
+  // and the generic virtual machine.
   enum class Tier { kFusedByteTable, kFusedDraTable, kGenericMachine };
 
   // One recovered error: the structured error plus the excised byte range.
@@ -162,8 +165,9 @@ class StreamingSelector {
 
   // Upper bound on stackless fused close-table entries (states × symbols ×
   // 3^registers, ~4 bytes each) a selector will build privately; larger
-  // DRAs stay on the generic tier. Plan-level builds apply their own
-  // budget before materializing (see engine/query_plan.cc).
+  // DRAs — and any with 65536 states or more, past the table's 16-bit
+  // state width — stay on the generic tier. Plan-level builds apply their
+  // own budget before materializing (see engine/query_plan.cc).
   static constexpr int64_t kFusedDraEntryBudget = int64_t{1} << 22;
 
   // Called right after a node is pre-selected: (node index in document
@@ -179,18 +183,19 @@ class StreamingSelector {
 
   // Compile-once / run-many form: borrows immutable tables owned by a
   // shared plan instead of building them. `tables` must have been built
-  // for exactly this (format, alphabet); `fused` may be null (generic tier
-  // only) and otherwise must be the fused byte table of the TagDfa the
-  // machine exports (the scanner syncs the exported state around fused
-  // chunks); `fused_dra` is the stackless analogue — the fused table of
-  // the restricted DRA the machine exports (configuration synced around
-  // fused chunks) — and is mutually exclusive with `fused`. No table
-  // construction — and no allocation proportional to the automaton —
-  // happens on this path; see engine/session.h.
+  // for exactly this (format, alphabet). `fused` and `fused_dras` are the
+  // fused kernel's tables: `fused` the byte table of the TagDfa the
+  // machine exports, `fused_dras` one ByteDraRunner per DRA it exports, in
+  // export order (the kernel steps the exported state and configurations
+  // in place). The kernel runs when they cover the machine's whole export
+  // and at least one is given; otherwise — and always when both are
+  // empty — the selector runs the generic tier. No table construction —
+  // and no allocation proportional to the automaton — happens on this
+  // path; see engine/session.h.
   StreamingSelector(StreamMachine* machine, Format format,
                     const Alphabet* alphabet, const ScannerTables* tables,
                     const ByteTagDfaRunner* fused,
-                    const ByteDraRunner* fused_dra = nullptr);
+                    std::span<const ByteDraRunner* const> fused_dras = {});
 
   void set_match_callback(MatchCallback callback) {
     match_callback_ = std::move(callback);
@@ -313,20 +318,20 @@ class StreamingSelector {
   // call this see the usual whole-run peak in stats().
   int64_t TakeSegmentPeakDepth();
 
-  // True when the fused byte→state fast path is active (registerless
-  // machine or eager product + compact markup + single-letter labels, not
-  // demoted).
+  // True when the fused kernel is active (not demoted) and steps a byte
+  // table: a registerless machine, or an eager product (fused-product and
+  // mixed batches), on compact markup with single-letter labels.
   bool using_fused_fast_path() const {
     return fused_ != nullptr && !demoted_;
   }
-  // True when the fused byte→configuration fast path is active (restricted
-  // DRA machine + compact markup + single-letter labels, not demoted).
+  // True when the fused kernel is active and steps restricted DRAs: a
+  // stackless machine, or the stackless members of a mixed batch.
   bool using_fused_dra_path() const {
-    return fused_dra_ != nullptr && !demoted_;
+    return !fused_dras_.empty() && !demoted_;
   }
   Tier active_tier() const {
-    if (using_fused_fast_path()) return Tier::kFusedByteTable;
     if (using_fused_dra_path()) return Tier::kFusedDraTable;
+    if (using_fused_fast_path()) return Tier::kFusedByteTable;
     return Tier::kGenericMachine;
   }
 
@@ -336,44 +341,6 @@ class StreamingSelector {
   // element, a close-like token is itself the resynchronization point,
   // and junk is simply discarded.
   enum class ErrorToken : uint8_t { kJunk, kOpenLike, kCloseLike };
-
-  // Per-chunk scan result; kDemote asks Feed to re-run the remainder of
-  // the chunk on the generic tier (which owns all recovery logic).
-  enum class ScanStatus : uint8_t { kOk, kFatal, kDemote };
-  struct ScanResult {
-    ScanStatus status = ScanStatus::kOk;
-    size_t resume_index = 0;  // kDemote: first unconsumed chunk index
-  };
-
-  // Steppers let the markup scanner run either through the virtual
-  // StreamMachine interface or the fused DRA table with identical
-  // validation code. Only the virtual stepper can recover (kCanRecover);
-  // the fused instantiation demotes instead.
-  // kSingleMember marks steppers whose acceptance always fans out to
-  // member 0 alone: the stackless fused tier only runs single-query
-  // machines, so its match emission skips the virtual
-  // AppendSelectedMembers enumeration. (The registerless byte table, which
-  // product machines do export, runs ScanFused instead of a stepper.)
-  struct VirtualStepper {
-    static constexpr bool kCanRecover = true;
-    static constexpr bool kSingleMember = false;
-    StreamMachine* machine;
-    void Open(Symbol s, unsigned char) { machine->OnOpen(s); }
-    void Close(Symbol s, unsigned char) { machine->OnClose(s); }
-    bool Accepting() const { return machine->InAcceptingState(); }
-  };
-  // Stackless fused tier: the whole DRA configuration (state, depth,
-  // registers) lives in the stepper for the duration of a chunk; the
-  // runner resolves the 3^r comparison code and the register loads inline.
-  struct DraFusedStepper {
-    static constexpr bool kCanRecover = false;
-    static constexpr bool kSingleMember = true;
-    const ByteDraRunner* runner;
-    DraConfig config;
-    void Open(Symbol s, unsigned char) { runner->StepOpen(&config, s); }
-    void Close(Symbol s, unsigned char) { runner->StepClose(&config, s); }
-    bool Accepting() const { return runner->IsAccepting(config.state); }
-  };
 
   // Verifies (debug builds only) that the shared/owned scanner tables and
   // the fused byte table, built independently from the same Alphabet,
@@ -398,20 +365,21 @@ class StreamingSelector {
   // just past the resync token. False on a fatal guard violation.
   bool ResyncClose(int64_t consumed_end);
 
-  template <typename Stepper>
-  ScanResult FeedMarkup(std::string_view chunk, size_t start,
-                        Stepper& stepper);
+  // The generic compact-markup tier: validates the framing from chunk
+  // index `start` on and steps the machine through its virtual interface.
+  bool FeedMarkup(std::string_view chunk, size_t start);
 
-  // The registerless fused kernel (compact markup over fused_): one
-  // resumable, branch-free pass that steps the byte table, validates the
-  // framing and updates every counter with selects. All of FeedMarkup's
-  // checks fold into one flag behind a single never-taken branch, which
-  // syncs the machine and hands the offending byte to FeedMarkup's
-  // VirtualStepper — so error codes, offsets, recovery and demotion are
-  // the generic tier's own. kProduct: the machine (ProductTagMachine)
-  // exports a per-state open-visit counter, which the kernel bumps for the
-  // per-member counts. kEmit: how matches reach the callback and sink.
-  // FeedFused picks the instantiation.
+  // The fused kernel (compact markup): one resumable pass that steps the
+  // optional byte table `table` (T = void: none) and, with kDras, every
+  // fused DRA side by side, validates the framing and updates every
+  // counter with selects. All of FeedMarkup's checks fold into one
+  // flag behind a single never-taken branch, which syncs the table state
+  // and the DRA configurations and hands the offending byte to
+  // FeedMarkup — so error codes, offsets, recovery and demotion are the
+  // generic tier's own. kProduct: the machine is multi-member and exports
+  // an open-visit counter, which the kernel bumps for the per-member
+  // counts. kEmit: how matches reach the callback and sink. FeedFused
+  // picks the instantiation.
   enum class FusedEmit : uint8_t {
     kNone,      // neither installed: counters only
     kVerdicts,  // single member, verdict-only sink, no callback: matches
@@ -419,8 +387,11 @@ class StreamingSelector {
     kFull,      // otherwise: the out-of-line record paths per match and
                 // per span close
   };
+  bool has_kernel() const {
+    return fused_ != nullptr || !fused_dras_.empty();
+  }
   bool FeedFused(std::string_view chunk);
-  template <typename T, bool kProduct, FusedEmit kEmit>
+  template <typename T, bool kDras, bool kProduct, FusedEmit kEmit>
   bool ScanFused(std::string_view chunk, const T* table, int64_t* visits);
   void RecordFusedMatch(bool product, int state, int64_t depth,
                         int64_t start);
@@ -463,17 +434,15 @@ class StreamingSelector {
   std::unique_ptr<ScannerTables> owned_tables_;
   const ScannerTables* tables_;
 
-  // Compact-markup fused fast path; null when the machine is not
-  // registerless (or labels are not single lowercase letters). Borrowed
-  // from a shared plan or privately owned, like the scanner tables.
+  // The fused kernel's tables: the byte table of the machine's exported
+  // TagDfa (null when it exports none) and one fused DRA per exported DRA,
+  // set only when together they cover the machine's whole export (both
+  // empty otherwise). Borrowed from a shared plan or privately owned, like
+  // the scanner tables.
   std::unique_ptr<ByteTagDfaRunner> owned_fused_;
   const ByteTagDfaRunner* fused_ = nullptr;
-
-  // Stackless fused fast path; null when the machine exports no restricted
-  // DRA (or the table would exceed the build budget). Mutually exclusive
-  // with fused_; same ownership scheme.
-  std::unique_ptr<ByteDraRunner> owned_fused_dra_;
-  const ByteDraRunner* fused_dra_ = nullptr;
+  std::vector<std::unique_ptr<ByteDraRunner>> owned_fused_dras_;
+  std::vector<const ByteDraRunner*> fused_dras_;
 
   // Well-formedness: the expected closing labels (only the labels, not
   // full automaton states — the library never keeps evaluation state per

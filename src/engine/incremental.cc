@@ -32,7 +32,8 @@ IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
     : plan_(std::move(plan)),
       machine_(plan_->NewMachine()),
       selector_(machine_.get(), plan_->options().format, &plan_->alphabet(),
-                &plan_->scanner_tables(), plan_->fused(), plan_->fused_dra()),
+                &plan_->scanner_tables(), plan_->fused(),
+                plan_->fused_dras()),
       options_(options) {
   SST_CHECK_MSG(machine_ != nullptr,
                 "IncrementalSession requires an exact plan");

@@ -128,6 +128,13 @@ class IncrementalSession {
   int64_t document_size() const { return doc_size_; }
   const QueryPlan& plan() const { return *plan_; }
 
+  // The rung the live selector scans on: compact-markup registerless and
+  // stackless plans scan and resume on the fused kernel until a recovery
+  // demotes the document to the generic tier.
+  StreamingSelector::Tier active_tier() const {
+    return selector_.active_tier();
+  }
+
   // Checkpoint grid interval in effect.
   int64_t checkpoint_interval() const { return options_.checkpoint_interval; }
 

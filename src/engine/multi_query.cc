@@ -98,6 +98,14 @@ std::shared_ptr<const MultiQueryPlan> MultiQueryPlan::Compile(
         product_ok = plan->eager_.has_value();
       }
       if (product_ok) {
+        // The sub-product's byte table lets the whole batch stream on the
+        // fused kernel (compact markup only, like the fused-product tier).
+        if (plan->eager_.has_value() &&
+            options.plan.format == StreamFormat::kCompactMarkup &&
+            MarkupEligible(alphabet)) {
+          plan->eager_fused_ =
+              std::make_unique<ByteTagDfaRunner>(plan->eager_->dfa, alphabet);
+        }
         plan->mixed_dras_.reserve(plan->dra_slot_.size());
         for (int slot : plan->dra_slot_) {
           plan->mixed_dras_.push_back(

@@ -157,6 +157,7 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
       if (plan->stackless_dra_) {
         plan->fused_dra_ = std::make_unique<ByteDraRunner>(
             &*plan->stackless_dra_, plan->alphabet_);
+        plan->fused_dra_ptr_ = plan->fused_dra_.get();
 #ifndef NDEBUG
         // Same cross-check as the registerless rung: the fused DRA table
         // and the scanner tables are derived independently from the same

@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "automata/dfa.h"
@@ -107,6 +108,10 @@ class QueryPlan {
     return stackless_dra_ ? &*stackless_dra_ : nullptr;
   }
   const ByteDraRunner* fused_dra() const { return fused_dra_.get(); }
+  // The same as the fused kernel's DRA list: empty or {fused_dra()}.
+  std::span<const ByteDraRunner* const> fused_dras() const {
+    return {&fused_dra_ptr_, fused_dra_ptr_ != nullptr ? size_t{1} : 0};
+  }
 
   // Per-byte scanner classification for options().format.
   const ScannerTables& scanner_tables() const { return scanner_tables_; }
@@ -137,6 +142,7 @@ class QueryPlan {
   std::unique_ptr<ByteTagDfaRunner> fused_;
   std::optional<Dra> stackless_dra_;
   std::unique_ptr<ByteDraRunner> fused_dra_;
+  const ByteDraRunner* fused_dra_ptr_ = nullptr;  // fused_dra_.get()
   ScannerTables scanner_tables_;
 };
 

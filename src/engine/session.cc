@@ -9,7 +9,7 @@ Session::Session(std::shared_ptr<const QueryPlan> plan)
       machine_(plan_->NewMachine()),
       selector_(machine_.get(), plan_->options().format, &plan_->alphabet(),
                 &plan_->scanner_tables(), plan_->fused(),
-                plan_->fused_dra()) {
+                plan_->fused_dras()) {
   SST_CHECK_MSG(machine_ != nullptr,
                 "Session requires an exact plan (plan->exact())");
 }

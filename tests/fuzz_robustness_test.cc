@@ -361,12 +361,15 @@ std::vector<std::vector<size_t>> KernelSchedules(size_t size, int64_t focus,
   return schedules;
 }
 
-// The registerless fused kernel runs every compact-markup Feed of a
-// Session on the byte table and of a kFusedProduct BatchSession on the
-// product table. Under every recovery policy, limit set, fault kind and
-// chunking (1-byte chunks included), it must report what the generic
-// tier reports on the same bytes and schedule, and on fail-fast what the
-// validated one-scan runners report.
+// The fused kernel runs every compact-markup Feed of a registerless
+// Session on the byte table, of a kFusedProduct BatchSession on the
+// product table, of a stackless Session on its fused DRA, and of a mixed
+// BatchSession on the registerless sub-product's table (when the batch has
+// product members) plus one fused DRA per stackless member. Under every
+// recovery policy, limit set, fault kind and chunking (1-byte chunks
+// included), each must report what the generic tier reports on the same
+// bytes and schedule, and on fail-fast what the validated one-scan runners
+// report.
 TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   auto plan = QueryPlan::Compile(Rpq::FromXPath("/a//b", alphabet), {});
@@ -378,14 +381,31 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
       alphabet, {});
   ASSERT_EQ(batch_plan->tier(), MultiTier::kFusedProduct);
   ASSERT_NE(batch_plan->eager_fused(), nullptr);
+  auto stackless_plan =
+      QueryPlan::Compile(Rpq::FromXPath("/a/b", alphabet), {});
+  ASSERT_NE(stackless_plan->fused_dra(), nullptr);
+  // Mixed batches with product members, and all stackless (no table).
+  const std::vector<std::shared_ptr<const MultiQueryPlan>> mixed_plans = {
+      MultiQueryPlan::Compile({{QuerySyntax::kXPath, "/a//b"},
+                               {QuerySyntax::kXPath, "//c"},
+                               {QuerySyntax::kXPath, "/a/b"},
+                               {QuerySyntax::kXPath, "/a/c"}},
+                              alphabet, {}),
+      MultiQueryPlan::Compile(
+          {{QuerySyntax::kXPath, "/a/b"}, {QuerySyntax::kXPath, "/b/c"}},
+          alphabet, {}),
+  };
   const RecoveryPolicy policies[] = {RecoveryPolicy::kFailFast,
                                      RecoveryPolicy::kSkipMalformedSubtree,
                                      RecoveryPolicy::kAutoClose};
 
   Session session(plan);
   BatchSession batch(batch_plan);
+  Session stackless(stackless_plan);
   ASSERT_TRUE(session.selector().using_fused_fast_path());
   ASSERT_TRUE(batch.runner()->selector().using_fused_fast_path());
+  ASSERT_EQ(stackless.selector().active_tier(),
+            StreamingSelector::Tier::kFusedDraTable);
   std::unique_ptr<StreamMachine> generic_machine = plan->NewMachine();
   StreamingSelector generic(generic_machine.get(),
                             StreamFormat::kCompactMarkup, &alphabet,
@@ -394,24 +414,73 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
                                   &batch_plan->scanner_tables(),
                                   batch_plan->eager(), /*eager_fused=*/nullptr,
                                   /*lazy=*/nullptr);
+  std::unique_ptr<StreamMachine> generic_stackless_machine =
+      stackless_plan->NewMachine();
+  StreamingSelector generic_stackless(
+      generic_stackless_machine.get(), StreamFormat::kCompactMarkup,
+      &alphabet, &stackless_plan->scanner_tables(), /*fused=*/nullptr);
   ASSERT_FALSE(generic.using_fused_fast_path());
   ASSERT_FALSE(generic_batch.selector().using_fused_fast_path());
+  ASSERT_EQ(generic_stackless.active_tier(),
+            StreamingSelector::Tier::kGenericMachine);
+
+  // One kernel mixed BatchSession per mixed plan, each beside the same
+  // product machine behind a selector with no fused tables.
+  struct MixedPair {
+    std::shared_ptr<const MultiQueryPlan> plan;
+    std::unique_ptr<BatchSession> fused;
+    std::unique_ptr<ProductTagMachine> machine;
+    std::unique_ptr<StreamingSelector> generic;
+  };
+  std::vector<MixedPair> mixed;
+  for (const auto& mixed_plan : mixed_plans) {
+    ASSERT_EQ(mixed_plan->tier(), MultiTier::kMixed);
+    MixedPair pair;
+    pair.plan = mixed_plan;
+    pair.fused = std::make_unique<BatchSession>(mixed_plan);
+    pair.machine = std::make_unique<ProductTagMachine>(
+        mixed_plan->eager(), /*lazy=*/nullptr, mixed_plan->mixed_dras());
+    pair.generic = std::make_unique<StreamingSelector>(
+        pair.machine.get(), StreamFormat::kCompactMarkup, &alphabet,
+        &mixed_plan->scanner_tables(), /*fused=*/nullptr);
+    ASSERT_EQ(pair.fused->runner()->selector().active_tier(),
+              StreamingSelector::Tier::kFusedDraTable);
+    ASSERT_EQ(pair.generic->active_tier(),
+              StreamingSelector::Tier::kGenericMachine);
+    mixed.push_back(std::move(pair));
+  }
+  ASSERT_NE(mixed[0].plan->eager(), nullptr);
+  ASSERT_EQ(mixed[1].plan->eager(), nullptr);
 
   auto check = [&](const std::string& doc, const StreamLimits& limits,
                    const std::string& what, Rng& rng) {
     ValidatedRun single_oracle = plan->fused()->RunValidated(doc, limits);
     MultiValidatedRun batch_oracle =
         batch.runner()->RunValidated(doc, limits);
+    ValidatedRun stackless_oracle =
+        stackless_plan->fused_dra()->RunValidated(doc, limits);
     ASSERT_EQ(single_oracle.error, batch_oracle.error) << what;
+    ASSERT_EQ(single_oracle.error, stackless_oracle.error) << what;
+    std::vector<MultiValidatedRun> mixed_oracles;
+    for (MixedPair& pair : mixed) {
+      mixed_oracles.push_back(pair.fused->runner()->RunValidated(doc, limits));
+      ASSERT_EQ(single_oracle.error, mixed_oracles.back().error) << what;
+    }
     for (RecoveryPolicy policy : policies) {
-      session.selector().set_recovery_policy(policy);
-      session.selector().set_limits(limits);
-      generic.set_recovery_policy(policy);
-      generic.set_limits(limits);
-      batch.set_recovery_policy(policy);
-      batch.set_limits(limits);
-      generic_batch.selector().set_recovery_policy(policy);
-      generic_batch.selector().set_limits(limits);
+      for (StreamingSelector* selector :
+           {&session.selector(), &generic, &batch.runner()->selector(),
+            &generic_batch.selector(), &stackless.selector(),
+            &generic_stackless}) {
+        selector->set_recovery_policy(policy);
+        selector->set_limits(limits);
+      }
+      for (MixedPair& pair : mixed) {
+        for (StreamingSelector* selector :
+             {&pair.fused->runner()->selector(), pair.generic.get()}) {
+          selector->set_recovery_policy(policy);
+          selector->set_limits(limits);
+        }
+      }
       for (const std::vector<size_t>& cuts :
            KernelSchedules(doc.size(), single_oracle.error.offset, rng)) {
         const std::vector<std::string_view> pieces = SplitAt(doc, cuts);
@@ -422,6 +491,8 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
         generic.Reset();
         batch.Reset();
         generic_batch.Reset();
+        stackless.Reset();
+        generic_stackless.Reset();
         KernelOutcome fused = DriveKernel(
             session, session.selector(), pieces,
             [&] { return std::vector<int64_t>{session.matches()}; });
@@ -436,6 +507,28 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
             DriveKernel(generic_batch, generic_batch.selector(), pieces,
                         [&] { return generic_batch.query_matches(); });
         ASSERT_EQ(fused_batch, slow_batch) << label;
+        KernelOutcome fused_stackless = DriveKernel(
+            stackless, stackless.selector(), pieces,
+            [&] { return std::vector<int64_t>{stackless.matches()}; });
+        KernelOutcome slow_stackless = DriveKernel(
+            generic_stackless, generic_stackless, pieces,
+            [&] { return std::vector<int64_t>{generic_stackless.matches()}; });
+        ASSERT_EQ(fused_stackless, slow_stackless) << label << " stackless";
+        std::vector<KernelOutcome> fused_mixed;
+        for (size_t m = 0; m < mixed.size(); ++m) {
+          MixedPair& pair = mixed[m];
+          MultiTagDfaRunner& runner = *pair.fused->runner();
+          pair.fused->Reset();
+          pair.generic->Reset();
+          fused_mixed.push_back(
+              DriveKernel(*pair.fused, runner.selector(), pieces,
+                          [&] { return runner.query_matches(); }));
+          KernelOutcome slow_mixed =
+              DriveKernel(*pair.generic, *pair.generic, pieces,
+                          [&] { return pair.machine->counts(); });
+          ASSERT_EQ(fused_mixed.back(), slow_mixed)
+              << label << " mixed " << m;
+        }
         if (policy != RecoveryPolicy::kFailFast) continue;
         // Fail-fast: the validated one-scan runners are the oracle.
         ASSERT_EQ(fused.finished, single_oracle.ok()) << label;
@@ -450,6 +543,25 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
         const StreamStats batch_stats = batch.stats();
         ASSERT_EQ(batch_stats.events, batch_oracle.events) << label;
         ASSERT_EQ(batch_stats.max_depth, batch_oracle.max_depth) << label;
+        ASSERT_EQ(fused_stackless.error, stackless_oracle.error) << label;
+        const StreamStats stackless_stats = stackless.stats();
+        ASSERT_EQ(stackless_stats.events, stackless_oracle.events) << label;
+        ASSERT_EQ(stackless_stats.max_depth, stackless_oracle.max_depth)
+            << label;
+        ASSERT_EQ(stackless.selector().nodes(), stackless_oracle.nodes)
+            << label;
+        ASSERT_EQ(stackless.matches(), stackless_oracle.matches) << label;
+        for (size_t m = 0; m < mixed.size(); ++m) {
+          const MultiValidatedRun& oracle = mixed_oracles[m];
+          ASSERT_EQ(fused_mixed[m].error, oracle.error) << label;
+          ASSERT_EQ(fused_mixed[m].counts, oracle.matches) << label;
+          const StreamStats mixed_stats = mixed[m].fused->stats();
+          ASSERT_EQ(mixed_stats.events, oracle.events) << label;
+          ASSERT_EQ(mixed_stats.max_depth, oracle.max_depth) << label;
+          ASSERT_EQ(mixed[m].fused->runner()->selector().nodes(),
+                    oracle.nodes)
+              << label;
+        }
       }
     }
   };
@@ -472,11 +584,19 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
     }
     docs.push_back(open + "bB cC" + close);
   }
+  int64_t stackless_matches = 0;
+  int64_t mixed_matches = 0;
   for (size_t d = 0; d < docs.size(); ++d) {
     const std::string& doc = docs[d];
     const std::string what = "doc " + std::to_string(d);
     ValidatedRun clean = plan->fused()->RunValidated(doc);
     ASSERT_TRUE(clean.ok()) << what;
+    stackless_matches += stackless_plan->fused_dra()->RunValidated(doc).matches;
+    for (MixedPair& pair : mixed) {
+      for (int64_t count : pair.fused->runner()->RunValidated(doc).matches) {
+        mixed_matches += count;
+      }
+    }
     // Limits exactly at the document's depth, event count and byte length
     // (clean), and one below each (the error lands on the limit's byte).
     std::vector<StreamLimits> limit_sets(1);
@@ -505,6 +625,9 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
             rng);
     }
   }
+  // The DRA members select on the clean documents, so the match paths ran.
+  EXPECT_GT(stackless_matches, 0);
+  EXPECT_GT(mixed_matches, 0);
 }
 
 TEST(Fuzz, DraRunnerDepthCanGoNegativeWithoutHarm) {

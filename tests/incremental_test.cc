@@ -123,7 +123,7 @@ RunResult FullRescan(const QueryPlan& plan, RecoveryPolicy policy,
   auto machine = plan.NewMachine();
   StreamingSelector selector(machine.get(), plan.options().format,
                              &plan.alphabet(), &plan.scanner_tables(),
-                             plan.fused(), plan.fused_dra());
+                             plan.fused(), plan.fused_dras());
   selector.set_recovery_policy(policy);
   selector.set_limits(limits);
   LogSink sink;
@@ -197,6 +197,25 @@ void ExpectParity(const RunResult& got, const RunResult& want,
 
 // The core property loop: scan a document, then apply a chain of edits,
 // checking full-rescan parity after the initial scan and after every
+// Compact-markup registerless and stackless sessions scan and resume on
+// the fused kernel; only a recovery can demote them (to the generic tier).
+void ExpectKernelTier(const QueryPlan& plan, StreamFormat format,
+                      RecoveryPolicy policy,
+                      const IncrementalSession& session,
+                      const std::string& ctx) {
+  if (format != StreamFormat::kCompactMarkup ||
+      policy == RecoveryPolicy::kSkipMalformedSubtree) {
+    return;
+  }
+  if (plan.kind() == EvaluatorKind::kStackless) {
+    EXPECT_EQ(session.active_tier(), StreamingSelector::Tier::kFusedDraTable)
+        << ctx;
+  } else if (plan.kind() == EvaluatorKind::kRegisterless) {
+    EXPECT_EQ(session.active_tier(), StreamingSelector::Tier::kFusedByteTable)
+        << ctx;
+  }
+}
+
 // edit. `corrupt_every` > 0 makes every corrupt_every-th edit a
 // kCorruptByte injection (malformed region), exercising resumes from and
 // convergence across recovered/failed regions.
@@ -216,6 +235,7 @@ void RunEditChain(const QueryPlan& plan, std::shared_ptr<const QueryPlan> sp,
   ASSERT_TRUE(session.checkpointing_supported()) << ctx;
   ExpectParity(FromSession(session),
                FullRescan(plan, policy, limits, doc), ctx + " scan");
+  ExpectKernelTier(plan, format, policy, session, ctx + " scan");
 
   EditWorkload workload(&plan.alphabet(), format, seed);
   for (int e = 0; e < edits; ++e) {
@@ -232,6 +252,7 @@ void RunEditChain(const QueryPlan& plan, std::shared_ptr<const QueryPlan> sp,
     session.ApplyEdit(edit.offset, edit.old_len, edit.new_bytes, next);
     ExpectParity(FromSession(session),
                  FullRescan(plan, policy, limits, next), edit_ctx);
+    ExpectKernelTier(plan, format, policy, session, edit_ctx);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "stopping chain after first divergence: " << edit_ctx;
       return;
@@ -267,6 +288,8 @@ TEST(IncrementalScan, MatchesPlainSelector) {
                        FullRescan(*plan, RecoveryPolicy::kFailFast,
                                   StreamLimits{}, doc),
                        ctx);
+          ExpectKernelTier(*plan, format, RecoveryPolicy::kFailFast, session,
+                           ctx);
         }
       }
     }

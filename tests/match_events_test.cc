@@ -891,6 +891,94 @@ struct ProductRun {
   friend bool operator==(const ProductRun&, const ProductRun&) = default;
 };
 
+// Runs one batch selector through each emission path: a span-collecting
+// sink, a verdict-only sink and a callback. `counts` reads the per-member
+// counts after the span run.
+template <typename Counts>
+ProductRun RunBatchPaths(StreamingSelector& selector, Counts counts,
+                         std::string_view text, size_t chunk,
+                         RecoveryPolicy policy) {
+  ProductRun out;
+  selector.set_recovery_policy(policy);
+  CollectingSink spans;
+  out.log = CollectChunked(&selector, &spans, text, chunk);
+  out.query_matches = counts();
+  // A verdict-only sink and a callback take the kernel's other emission
+  // paths.
+  CollectingSink verdicts;
+  VerdictOnlySink verdict_sink(&verdicts);
+  selector.set_match_sink(&verdict_sink);
+  selector.Reset();
+  for (std::string_view piece : Chunked(text, chunk)) {
+    if (!selector.Feed(piece)) break;
+  }
+  out.verdicts = verdicts.matches();
+  selector.set_match_sink(nullptr);
+  selector.set_match_callback(
+      [&out](int64_t node, Symbol) { out.callback_nodes.push_back(node); });
+  selector.Reset();
+  for (std::string_view piece : Chunked(text, chunk)) {
+    if (!selector.Feed(piece)) break;
+  }
+  selector.set_match_callback(nullptr);
+  return out;
+}
+
+// A compact-markup text over a random tree, clean or with one fault.
+struct BatchText {
+  std::string bytes;
+  bool clean = false;
+};
+
+// Every fault kind applied to every clean tree, beside the clean text.
+std::vector<BatchText> CleanAndFaultedTexts(const Alphabet& alphabet,
+                                            uint64_t seed) {
+  Rng rng(seed);
+  std::vector<BatchText> texts;
+  std::vector<Tree> trees = testing::SampleTrees(12, 3, &rng);
+  for (size_t t = 0; t < trees.size(); ++t) {
+    const std::string clean = ToCompactMarkup(alphabet, Encode(trees[t]));
+    texts.push_back({clean, true});
+    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
+      std::string mutated = clean;
+      FaultInjector injector(t * 31 + static_cast<uint64_t>(kind));
+      injector.Apply(static_cast<FaultKind>(kind), &mutated);
+      texts.push_back({mutated, false});
+    }
+  }
+  return texts;
+}
+
+// Diffs a batch on the fused kernel against the same machine kind on the
+// generic tier: every text, policy and chunking, each emission path.
+// Returns the matches the generic tier reported on the clean texts.
+template <typename RunFused, typename RunGeneric>
+int64_t ExpectBatchPathsMatch(const std::vector<BatchText>& texts,
+                              RunFused run_fused, RunGeneric run_generic) {
+  int64_t clean_matches = 0;
+  for (size_t x = 0; x < texts.size(); ++x) {
+    const std::string& text = texts[x].bytes;
+    for (RecoveryPolicy policy : {RecoveryPolicy::kFailFast,
+                                  RecoveryPolicy::kSkipMalformedSubtree,
+                                  RecoveryPolicy::kAutoClose}) {
+      const ProductRun baseline = run_generic(text, text.size(), policy);
+      if (texts[x].clean) {
+        EXPECT_TRUE(baseline.log.finished) << "text " << x;
+        EXPECT_EQ(baseline.verdicts, baseline.log.matches);
+        EXPECT_EQ(static_cast<int64_t>(baseline.callback_nodes.size()),
+                  baseline.log.count);
+        clean_matches += baseline.log.count;
+      }
+      for (size_t chunk : kChunkings) {
+        EXPECT_EQ(run_fused(text, chunk, policy), baseline)
+            << "text " << x << " chunk " << chunk << " policy "
+            << RecoveryPolicyName(policy);
+      }
+    }
+  }
+  return clean_matches;
+}
+
 // The fused-product tier runs the batch on the product's byte table; its
 // members fan out from the reached state's selection mask. Against the
 // same product on the generic tier (no byte table), a span-collecting
@@ -912,65 +1000,67 @@ TEST(MatchEvents, FusedProductBatchMatchesGenericTier) {
                             /*eager_fused=*/nullptr, /*lazy=*/nullptr);
   ASSERT_TRUE(fused.selector().using_fused_fast_path());
   ASSERT_FALSE(generic.selector().using_fused_fast_path());
-
-  auto run = [](MultiTagDfaRunner& runner, std::string_view text,
-                size_t chunk, RecoveryPolicy policy) {
-    ProductRun out;
-    StreamingSelector& selector = runner.selector();
-    selector.set_recovery_policy(policy);
-    CollectingSink spans;
-    out.log = CollectChunked(&selector, &spans, text, chunk);
-    out.query_matches = runner.query_matches();
-    // A verdict-only sink and a callback take the kernel's other emission
-    // paths.
-    CollectingSink verdicts;
-    VerdictOnlySink verdict_sink(&verdicts);
-    selector.set_match_sink(&verdict_sink);
-    selector.Reset();
-    for (std::string_view piece : Chunked(text, chunk)) {
-      if (!selector.Feed(piece)) break;
-    }
-    out.verdicts = verdicts.matches();
-    selector.set_match_sink(nullptr);
-    selector.set_match_callback(
-        [&out](int64_t node, Symbol) { out.callback_nodes.push_back(node); });
-    selector.Reset();
-    for (std::string_view piece : Chunked(text, chunk)) {
-      if (!selector.Feed(piece)) break;
-    }
-    selector.set_match_callback(nullptr);
-    return out;
+  auto run = [](MultiTagDfaRunner& runner) {
+    return [&runner](std::string_view text, size_t chunk,
+                     RecoveryPolicy policy) {
+      return RunBatchPaths(
+          runner.selector(), [&] { return runner.query_matches(); }, text,
+          chunk, policy);
+    };
   };
+  EXPECT_GT(ExpectBatchPathsMatch(CleanAndFaultedTexts(alphabet, 2024),
+                                  run(fused), run(generic)),
+            0);
+}
 
-  Rng rng(2024);
-  std::vector<Tree> trees = testing::SampleTrees(12, 3, &rng);
-  for (size_t t = 0; t < trees.size(); ++t) {
-    const std::string clean = ToCompactMarkup(alphabet, Encode(trees[t]));
-    std::vector<std::string> texts = {clean};
-    for (int kind = 0; kind < kNumFaultKinds; ++kind) {
-      std::string mutated = clean;
-      FaultInjector injector(t * 31 + static_cast<uint64_t>(kind));
-      injector.Apply(static_cast<FaultKind>(kind), &mutated);
-      texts.push_back(mutated);
-    }
-    for (size_t x = 0; x < texts.size(); ++x) {
-      for (RecoveryPolicy policy : {RecoveryPolicy::kFailFast,
-                                    RecoveryPolicy::kSkipMalformedSubtree,
-                                    RecoveryPolicy::kAutoClose}) {
-        const ProductRun baseline = run(generic, texts[x], texts[x].size(), policy);
-        if (x == 0) {
-          ASSERT_TRUE(baseline.log.finished);
-          EXPECT_EQ(baseline.verdicts, baseline.log.matches);
-          EXPECT_EQ(static_cast<int64_t>(baseline.callback_nodes.size()),
-                    baseline.log.count);
-        }
-        for (size_t chunk : kChunkings) {
-          EXPECT_EQ(run(fused, texts[x], chunk, policy), baseline)
-              << "tree " << t << " text " << x << " chunk " << chunk
-              << " policy " << RecoveryPolicyName(policy);
-        }
-      }
-    }
+// The mixed tier runs the registerless sub-product's byte table and every
+// stackless member's fused DRA on the kernel; members fan out from the
+// reached product state's mask and the in-place DRA configurations. The
+// span, verdict-only and callback logs must equal those of the same
+// product machine on the generic tier — with product members and without
+// (an all-stackless batch has no table).
+TEST(MatchEvents, MixedBatchMatchesGenericTier) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  const std::vector<std::vector<BatchQuery>> batches = {
+      {{QuerySyntax::kXPath, "/a//b"},
+       {QuerySyntax::kXPath, "//c"},
+       {QuerySyntax::kXPath, "/a/b"},
+       {QuerySyntax::kXPath, "/a/c"}},
+      {{QuerySyntax::kXPath, "/a/b"}, {QuerySyntax::kXPath, "/a/c"}},
+  };
+  const std::vector<BatchText> texts = CleanAndFaultedTexts(alphabet, 2025);
+  for (const std::vector<BatchQuery>& queries : batches) {
+    auto plan = MultiQueryPlan::Compile(queries, alphabet, {});
+    ASSERT_EQ(plan->tier(), MultiTier::kMixed);
+    ASSERT_EQ(plan->mixed_dras().size(), 2u);
+    BatchSession session(plan);
+    MultiTagDfaRunner& fused = *session.runner();
+    ASSERT_EQ(fused.selector().active_tier(),
+              StreamingSelector::Tier::kFusedDraTable);
+    ASSERT_EQ(fused.selector().using_fused_fast_path(),
+              plan->eager() != nullptr);
+    // The generic tier: the same machine kind behind a selector with no
+    // fused tables.
+    ProductTagMachine machine(plan->eager(), /*lazy=*/nullptr,
+                              plan->mixed_dras());
+    StreamingSelector generic(&machine, StreamFormat::kCompactMarkup,
+                              &alphabet, &plan->scanner_tables(),
+                              /*fused=*/nullptr);
+    ASSERT_EQ(generic.active_tier(),
+              StreamingSelector::Tier::kGenericMachine);
+    const int64_t clean_matches = ExpectBatchPathsMatch(
+        texts,
+        [&](std::string_view text, size_t chunk, RecoveryPolicy policy) {
+          return RunBatchPaths(
+              fused.selector(), [&] { return fused.query_matches(); }, text,
+              chunk, policy);
+        },
+        [&](std::string_view text, size_t chunk, RecoveryPolicy policy) {
+          return RunBatchPaths(
+              generic, [&] { return machine.counts(); }, text, chunk,
+              policy);
+        });
+    EXPECT_GT(clean_matches, 0);
   }
 }
 

@@ -12,12 +12,15 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -32,6 +35,32 @@
 #include "testing/fault_injection.h"
 #include "trees/encoding.h"
 #include "trees/tree.h"
+
+// Largest single operator new request while a ParseProbe is armed (the
+// wire-parser fuzz below bounds it by the parsed payload's size).
+namespace {
+std::atomic<bool> g_probe_armed{false};
+std::atomic<size_t> g_probe_max_alloc{0};
+}  // namespace
+
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void* operator new(std::size_t size) {
+  if (g_probe_armed.load(std::memory_order_relaxed)) {
+    size_t seen = g_probe_max_alloc.load(std::memory_order_relaxed);
+    while (size > seen && !g_probe_max_alloc.compare_exchange_weak(
+                              seen, size, std::memory_order_relaxed)) {
+    }
+  }
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace sst {
 namespace {
@@ -209,6 +238,44 @@ std::string Mutate(Rng* rng, std::string bytes,
   return bytes;
 }
 
+// Arms the allocation probe for its lifetime.
+class AllocationProbe {
+ public:
+  AllocationProbe() {
+    g_probe_max_alloc.store(0, std::memory_order_relaxed);
+    g_probe_armed.store(true, std::memory_order_relaxed);
+  }
+  ~AllocationProbe() { g_probe_armed.store(false, std::memory_order_relaxed); }
+  size_t largest() const {
+    return g_probe_max_alloc.load(std::memory_order_relaxed);
+  }
+};
+
+// Allowance for fixed diagnostics such as "unknown register key: ".
+constexpr size_t kAllocSlack = 64;
+
+// Runs one parse with the allocation probe armed and bounds every single
+// allocation it made by the parsed payload's size: a mutant may make a
+// parser reject, never reserve room for more than the frame carries. The
+// bound is counted in decoded units — at most one `element_bytes` output
+// item per payload byte (a count is 8 bytes however short its digits, a
+// query one std::string) — plus kAllocSlack. A size or count read from
+// the payload and trusted as a reservation breaks it.
+template <typename Parse>
+bool ProbedParse(std::string_view payload, size_t element_bytes,
+                 Parse parse) {
+  size_t largest = 0;
+  bool accepted = false;
+  {
+    AllocationProbe probe;
+    accepted = parse();
+    largest = probe.largest();
+  }
+  EXPECT_LE(largest, kAllocSlack + payload.size() * element_bytes)
+      << "payload: " << payload;
+  return accepted;
+}
+
 // Runs `check` on kMutantsPerIter * SST_FUZZ_ITERS mutants of `seeds`.
 template <typename Check>
 void FuzzPayloads(uint64_t seed, const std::vector<std::string>& seeds,
@@ -242,7 +309,9 @@ TEST(ProtocolFuzz, RegisterAcceptsOnlyWhatReencodes) {
   FuzzPayloads(811, seeds, [](const std::string& payload) {
     RegisterRequest parsed;
     std::string error;
-    if (!ParseRegister(payload, &parsed, &error)) {
+    if (!ProbedParse(payload, sizeof(std::string), [&] {
+          return ParseRegister(payload, &parsed, &error);
+        })) {
       EXPECT_FALSE(error.empty());
       return;
     }
@@ -264,7 +333,10 @@ TEST(ProtocolFuzz, RegisteredAcceptsOnlyWhatReencodes) {
   };
   FuzzPayloads(812, seeds, [](const std::string& payload) {
     RegisteredInfo parsed;
-    if (!ParseRegistered(payload, &parsed)) return;
+    if (!ProbedParse(payload, 1,
+                     [&] { return ParseRegistered(payload, &parsed); })) {
+      return;
+    }
     RegisteredInfo again;
     ASSERT_TRUE(ParseRegistered(EncodeRegistered(parsed), &again))
         << "payload: " << payload;
@@ -281,7 +353,10 @@ TEST(ProtocolFuzz, ErrorInfoAcceptsOnlyWhatReencodes) {
   };
   FuzzPayloads(813, seeds, [](const std::string& payload) {
     ErrorInfo parsed;
-    if (!ParseErrorInfo(payload, &parsed)) return;
+    if (!ProbedParse(payload, 1,
+                     [&] { return ParseErrorInfo(payload, &parsed); })) {
+      return;
+    }
     ErrorInfo again;
     ASSERT_TRUE(ParseErrorInfo(EncodeErrorInfo(parsed), &again))
         << "payload: " << payload;
@@ -300,7 +375,10 @@ TEST(ProtocolFuzz, CountsAcceptOnlyWhatReencodes) {
   };
   FuzzPayloads(814, seeds, [](const std::string& payload) {
     std::vector<int64_t> parsed;
-    if (!ParseCounts(payload, &parsed)) return;
+    if (!ProbedParse(payload, sizeof(int64_t),
+                     [&] { return ParseCounts(payload, &parsed); })) {
+      return;
+    }
     std::vector<int64_t> again;
     ASSERT_TRUE(ParseCounts(EncodeCounts(parsed), &again))
         << "payload: " << payload;
@@ -318,7 +396,10 @@ TEST(ProtocolFuzz, MatchesAcceptOnlyWhatReencodes) {
   };
   FuzzPayloads(815, seeds, [](const std::string& payload) {
     std::vector<MatchWireRecord> parsed;
-    if (!ParseMatches(payload, &parsed)) return;
+    if (!ProbedParse(payload, sizeof(MatchWireRecord),
+                     [&] { return ParseMatches(payload, &parsed); })) {
+      return;
+    }
     std::vector<MatchWireRecord> again;
     ASSERT_TRUE(ParseMatches(EncodeMatches(parsed), &again))
         << "payload: " << payload;
@@ -337,7 +418,10 @@ TEST(ProtocolFuzz, ShedReasonAcceptsOnlyWhatReencodes) {
   }
   FuzzPayloads(816, seeds, [](const std::string& payload) {
     ShedReason parsed = ShedReason::kMaxConnections;
-    if (!ParseShedReason(payload, &parsed)) return;
+    if (!ProbedParse(payload, 1,
+                     [&] { return ParseShedReason(payload, &parsed); })) {
+      return;
+    }
     ShedReason again = ShedReason::kMaxConnections;
     ASSERT_TRUE(ParseShedReason(EncodeShed(parsed), &again))
         << "payload: " << payload;
@@ -371,8 +455,15 @@ TEST(ProtocolFuzz, FrameDecoderReturnsOnlyTheFramesItConsumed) {
       decoder.Append(std::string_view(bytes).substr(i, n));
       i += n;
       Frame frame;
-      while ((status = decoder.Next(&frame)) ==
-             FrameDecoder::Status::kFrame) {
+      // Decoding allocates at most one capped payload, whatever length a
+      // mutant header declares.
+      auto next = [&] {
+        AllocationProbe probe;
+        const FrameDecoder::Status next_status = decoder.Next(&frame);
+        EXPECT_LE(probe.largest(), kAllocSlack + kCap);
+        return next_status;
+      };
+      while ((status = next()) == FrameDecoder::Status::kFrame) {
         ASSERT_LE(frame.payload.size(), kCap);
         frames.push_back(frame);
       }

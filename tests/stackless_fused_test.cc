@@ -177,8 +177,7 @@ TEST(StacklessFused, MaxDepthSkipRecoveryMatchesGenericTier) {
     std::unique_ptr<StreamMachine> reference_machine = plan->NewMachine();
     StreamingSelector generic(reference_machine.get(),
                               plan->options().format, &plan->alphabet(),
-                              &plan->scanner_tables(), /*fused=*/nullptr,
-                              /*fused_dra=*/nullptr);
+                              &plan->scanner_tables(), /*fused=*/nullptr);
     ASSERT_EQ(generic.active_tier(),
               StreamingSelector::Tier::kGenericMachine);
 
