@@ -9,19 +9,10 @@
 // independently tracked expectation, so the timed loop is also a
 // correctness loop.
 //
-// The pooled-vs-vector rows time the rewritten StackQueryEvaluator (the
-// refcounted pooled chunked stack) against the retained std::vector
-// baseline. BM_StackPooledScan / BM_StackVectorScan are unfloored
-// trajectory rows on a deep pure-spine document (every byte a stack op —
-// the pooled stack's worst case). The floored row is
-// BM_StackPooledVsVector on the leafy whitespace-padded corpus the
-// repo's acceptance convention uses: it runs both machines interleaved
-// within one benchmark, alternating which goes first each iteration,
-// and reports the median of per-pair time ratios as pooled_vs_vector
-// (vector seconds / pooled seconds, 1.0 = parity) — immune to clock
-// drift between separately timed rows. The committed floor holds the
-// pooled stack within 5% of the vector's throughput (measured at or
-// above parity since push/pop became chunk-index bumps).
+// BM_StackSessionVsOneScan holds the pushdown tier's streamed Session to a
+// share of the one-scan pushdown runner on dense documents, timed
+// interleaved in one loop (see the row's comment); its floor is in the
+// same baselines file.
 
 #include <benchmark/benchmark.h>
 
@@ -33,15 +24,17 @@
 #include <vector>
 
 #include "automata/alphabet.h"
-#include "automata/minimize.h"
 #include "base/check.h"
 #include "base/rng.h"
+#include "bench_util.h"
+#include "dra/byte_runner.h"
 #include "dra/streaming.h"
 #include "engine/incremental.h"
 #include "engine/query_plan.h"
-#include "eval/stack_evaluator.h"
+#include "engine/session.h"
 #include "query/rpq.h"
 #include "testing/edit_workload.h"
+#include "trees/encoding.h"
 
 namespace sst {
 namespace {
@@ -176,8 +169,8 @@ BENCHMARK(BM_IncrementalSmallEdits)->Arg(16)->Arg(100)->UseManualTime();
 
 // --- Nested corpus + generated edits on the stack tier ----------------
 //
-// "//a/b" compiles to the pushdown baseline, so every checkpoint retains
-// a pooled-stack head; edits come from the shared EditWorkload generator
+// "//a/b" compiles to the pushdown baseline, so every checkpoint copies
+// a state column; edits come from the shared EditWorkload generator
 // (variable length, so splices rebase suffix offsets). The document is a
 // root of depth-8 "c" spines — deep enough that checkpoints are real
 // stacks, small enough that the bench stays a smoke of the tier, not a
@@ -227,147 +220,90 @@ void BM_IncrementalStackTierEdits(benchmark::State& state) {
 }
 BENCHMARK(BM_IncrementalStackTierEdits)->UseManualTime();
 
-// --- Pooled vs vector pushdown throughput -----------------------------
+// --- Stack Session on the kernel vs one-scan pushdown -----------------
 //
-// Same DFA, same document, the only variable being the stack
-// implementation. Two corpora:
-//   * DeepDoc — pure structure, every byte an open or close at depth up
-//     to ~1024: the worst case for the pooled stack, whose per-event cost
-//     (freelist pop, three stores, refcount discipline) runs ~9% over the
-//     vector's single store on this machine. Trajectory rows only.
-//   * PaddedDoc — the same pretty-printed shape as bench_streaming's
-//     padded-corpus acceptance rows (newline + two spaces per depth
-//     level): the representative workload every committed throughput
-//     floor in this repo is measured on. The <= 5% pooled-vs-vector
-//     budget is floored here.
-// The floored figure is the interleaved ratio (both machines timed
-// alternately inside one benchmark), which cancels the slow machine
-// drift that makes a ratio of two sequentially-run rows flaky on shared
-// runners.
-std::string DeepDoc() {
-  // 1024-deep spines of 'c' with a 'b' leaf, repeated to ~2 MiB — small
-  // enough that one scan is ~15 ms, so even CI's short --min-time runs
-  // get real iteration counts behind the pooled-vs-vector ratio.
-  std::string unit;
-  unit.append(1024, 'c');
-  unit.append("bB");
-  unit.append(1024, 'C');
-  std::string doc = "a";
-  while (doc.size() < (2u << 20)) doc.append(unit);
-  doc.push_back('A');
-  return doc;
-}
-
-std::string PaddedDoc() {
-  // Pretty-printed ~2 MiB: depth-8 'c' spines under the root, eight 'b'
-  // leaf children at every level, one tag per line, two spaces of
-  // indentation per level — the leafy, list-heavy shape of real
-  // pretty-printed documents.
-  std::string doc = "a";
-  auto line = [&doc](int depth, char tag) {
-    doc.push_back('\n');
-    doc.append(static_cast<size_t>(depth) * 2, ' ');
-    doc.push_back(tag);
-  };
-  while (doc.size() < (2u << 20)) {
-    for (int d = 1; d <= 8; ++d) {
-      line(d, 'c');
-      for (int k = 0; k < 8; ++k) {
-        line(d + 1, 'b');
-        line(d + 1, 'B');
+// The pushdown tier streams on the validated kernel, its state column
+// beside the label column. One iteration times a stack-tier Session fed
+// in 64 KiB chunks and ByteStackRunner::CountSelections (the paper's
+// one-scan pushdown baseline, which neither validates nor chunks) over
+// the same dense documents, alternating which goes first; the
+// session_vs_one_scan counter is the median of the per-pair ratios
+// (one-scan seconds / session seconds), so machine drift between two
+// separately timed rows cannot move it.
+void BM_StackSessionVsOneScan(benchmark::State& state) {
+  static Alphabet* alphabet = new Alphabet(Alphabet::FromLetters("abc"));
+  // One deep and one bushy dense document of ~256 KiB each: every byte
+  // is a tag, so the rows measure the per-tag step, not the whitespace
+  // skip.
+  static std::vector<std::string>* docs = [] {
+    auto* out = new std::vector<std::string>();
+    for (bench::DocShape shape : {bench::DocShape::kDeep,
+                                  bench::DocShape::kBushy}) {
+      out->push_back(ToCompactMarkup(
+          *alphabet, Encode(bench::MakeDocument(shape, 1 << 17, 3, 5))));
+    }
+    return out;
+  }();
+  auto plan = QueryPlan::Compile(Rpq::FromXPath("//a/b", *alphabet), {});
+  SST_CHECK(plan->kind() == EvaluatorKind::kStackBaseline);
+  Session session(plan);
+  SST_CHECK(session.selector().active_tier() ==
+            StreamingSelector::Tier::kFusedByteTable);
+  ByteStackRunner one_scan(plan->minimal_dfa());
+  constexpr size_t kChunk = 64 << 10;
+  int64_t session_matches = 0;
+  int64_t one_scan_matches = 0;
+  auto run_session = [&] {
+    const auto t0 = Clock::now();
+    for (const std::string& doc : *docs) {
+      session.Reset();
+      for (size_t i = 0; i < doc.size(); i += kChunk) {
+        SST_CHECK(session.Feed(std::string_view(doc).substr(i, kChunk)));
       }
+      SST_CHECK(session.Finish());
+      session_matches += session.matches();
     }
-    for (int d = 8; d >= 1; --d) line(d, 'C');
-  }
-  doc.append("\nA");
-  return doc;
-}
-
-template <typename Machine>
-void RunStackScan(benchmark::State& state) {
-  static Alphabet* alphabet = new Alphabet(Alphabet::FromLetters("abc"));
-  static Dfa* dfa = new Dfa(CompileRegex(".*a.*b", *alphabet));
-  static std::string* doc = new std::string(DeepDoc());
-  Machine machine(dfa);
-  StreamingSelector selector(&machine, StreamFormat::kCompactMarkup,
-                             alphabet);
-  int64_t matches = 0;
-  for (auto _ : state) {
-    selector.Reset();
-    SST_CHECK(selector.Feed(*doc));
-    SST_CHECK(selector.Finish());
-    matches = selector.matches();
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(doc->size()));
-  state.counters["matches"] = static_cast<double>(matches);
-}
-
-void BM_StackPooledScan(benchmark::State& state) {
-  RunStackScan<StackQueryEvaluator>(state);
-}
-BENCHMARK(BM_StackPooledScan);
-
-void BM_StackVectorScan(benchmark::State& state) {
-  RunStackScan<VectorStackQueryEvaluator>(state);
-}
-BENCHMARK(BM_StackVectorScan);
-
-// One iteration = one pooled scan + one vector scan, back to back; the
-// pooled_vs_vector counter is vector time over pooled time (1.0 = parity,
-// above 1.0 = pooled faster).
-void BM_StackPooledVsVector(benchmark::State& state) {
-  static Alphabet* alphabet = new Alphabet(Alphabet::FromLetters("abc"));
-  static Dfa* dfa = new Dfa(CompileRegex(".*a.*b", *alphabet));
-  static std::string* doc = new std::string(PaddedDoc());
-  StackQueryEvaluator pooled(dfa);
-  VectorStackQueryEvaluator vec(dfa);
-  StreamingSelector pooled_sel(&pooled, StreamFormat::kCompactMarkup,
-                               alphabet);
-  StreamingSelector vec_sel(&vec, StreamFormat::kCompactMarkup, alphabet);
-  bool pooled_first = true;
+    return Seconds(t0, Clock::now());
+  };
+  auto run_one_scan = [&] {
+    const auto t0 = Clock::now();
+    for (const std::string& doc : *docs) {
+      one_scan_matches += one_scan.CountSelections(doc);
+    }
+    return Seconds(t0, Clock::now());
+  };
+  bool session_first = true;
   std::vector<double> ratios;
-  auto run_pooled = [&] {
-    pooled_sel.Reset();
-    const auto t0 = Clock::now();
-    SST_CHECK(pooled_sel.Feed(*doc));
-    SST_CHECK(pooled_sel.Finish());
-    return Seconds(t0, Clock::now());
-  };
-  auto run_vec = [&] {
-    vec_sel.Reset();
-    const auto t0 = Clock::now();
-    SST_CHECK(vec_sel.Feed(*doc));
-    SST_CHECK(vec_sel.Finish());
-    return Seconds(t0, Clock::now());
-  };
   for (auto _ : state) {
-    // Alternate which machine goes first so warm-cache advantage for the
-    // second scan cancels out of the ratio.
-    double pooled_s;
-    double vec_s;
-    if (pooled_first) {
-      pooled_s = run_pooled();
-      vec_s = run_vec();
+    double session_s;
+    double one_scan_s;
+    if (session_first) {
+      session_s = run_session();
+      one_scan_s = run_one_scan();
     } else {
-      vec_s = run_vec();
-      pooled_s = run_pooled();
+      one_scan_s = run_one_scan();
+      session_s = run_session();
     }
-    pooled_first = !pooled_first;
-    SST_CHECK(pooled_sel.matches() == vec_sel.matches());
-    ratios.push_back(vec_s / pooled_s);
+    session_first = !session_first;
+    SST_CHECK(session_matches == one_scan_matches);
+    ratios.push_back(one_scan_s / session_s);
+  }
+  int64_t doc_bytes = 0;
+  for (const std::string& doc : *docs) {
+    doc_bytes += static_cast<int64_t>(doc.size());
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * 2 *
-                          static_cast<int64_t>(doc->size()));
+                          doc_bytes);
   // Median of the per-pair ratios: one preempted scan (shared-runner
   // noise burst) shifts a total-time ratio by several percent but leaves
   // the median untouched.
   std::nth_element(ratios.begin(), ratios.begin() + ratios.size() / 2,
                    ratios.end());
-  state.counters["pooled_vs_vector"] = ratios[ratios.size() / 2];
+  state.counters["session_vs_one_scan"] = ratios[ratios.size() / 2];
+  state.counters["max_stack_depth"] =
+      static_cast<double>(one_scan.max_stack_depth());
 }
-BENCHMARK(BM_StackPooledVsVector);
+BENCHMARK(BM_StackSessionVsOneScan);
 
 }  // namespace
 }  // namespace sst

@@ -867,13 +867,13 @@ void BM_StacklessFusedMixedBatchIndependent(benchmark::State& state) {
 BENCHMARK(BM_StacklessFusedMixedBatchScan);
 BENCHMARK(BM_StacklessFusedMixedBatchIndependent);
 
-// --- Dense streaming on the DRA rungs ------------------------------------
+// --- Dense streaming on the DRA and stack rungs --------------------------
 // Every byte of the 1 MiB random document is structural, so the stage-1
 // skip does no work and the rows measure the per-tag step: a stackless
-// Session and a mixed BatchSession fed in 64 KiB chunks, each beside its
-// one-scan counterpart over the same bytes (relative floors in
-// bench_baselines.json pin the streaming rows to a share of the one-scan
-// rows).
+// Session, a mixed BatchSession and a stack Session fed in 64 KiB chunks,
+// each beside its one-scan counterpart over the same bytes (relative
+// floors in bench_baselines.json pin the mixed streaming row to a share of
+// its one-scan row).
 
 void BM_StacklessSessionDense(benchmark::State& state) {
   auto plan = StacklessFusedPlan();
@@ -951,10 +951,55 @@ void BM_MixedBatchOneScanDense(benchmark::State& state) {
   state.SetLabel("stackless/mixed-batch-one-scan/markup-dense");
 }
 
+// The pushdown tier: a stack Session (the kernel steps its state column
+// beside the label column) and the one-scan pushdown runner. The floor on
+// this pair is the interleaved BM_StackSessionVsOneScan counter in
+// bench_incremental; these are trajectory rows.
+void BM_StackSessionDense(benchmark::State& state) {
+  auto plan = QueryPlan::Compile(
+      Rpq::FromXPath("//a/b", Alphabet::FromLetters("abc")), PlanOptions{});
+  SST_CHECK(plan->kind() == EvaluatorKind::kStackBaseline);
+  Session session(plan);
+  SST_CHECK(session.selector().active_tier() ==
+            StreamingSelector::Tier::kFusedByteTable);
+  const size_t chunk_size = static_cast<size_t>(state.range(0));
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  int64_t matches = 0;
+  for (auto _ : state) {
+    matches = DriveChunked(session, bytes, chunk_size);
+    benchmark::DoNotOptimize(matches);
+  }
+  SST_CHECK(matches ==
+            ByteStackRunner(plan->minimal_dfa()).CountSelections(bytes));
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(matches);
+  state.SetLabel("stack/session/markup-dense/chunk=" +
+                 std::to_string(chunk_size));
+}
+
+void BM_StackOneScanDense(benchmark::State& state) {
+  auto plan = QueryPlan::Compile(
+      Rpq::FromXPath("//a/b", Alphabet::FromLetters("abc")), PlanOptions{});
+  ByteStackRunner runner(plan->minimal_dfa());
+  const std::string bytes = DocumentBytes(Format::kCompactMarkup);
+  int64_t matches = 0;
+  for (auto _ : state) {
+    matches = runner.CountSelections(bytes);
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+  state.counters["matches"] = static_cast<double>(matches);
+  state.SetLabel("stack/one-scan/markup-dense");
+}
+
 BENCHMARK(BM_StacklessSessionDense)->Arg(65536);
 BENCHMARK(BM_StacklessOneScanDense);
 BENCHMARK(BM_MixedBatchSessionDense)->Arg(65536);
 BENCHMARK(BM_MixedBatchOneScanDense);
+BENCHMARK(BM_StackSessionDense)->Arg(65536);
+BENCHMARK(BM_StackOneScanDense);
 
 // --- Match-sink emission cost and latency-to-certainty ------------------
 // The streaming MatchSink pipeline replaces count-at-Finish with per-match

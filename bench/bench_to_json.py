@@ -2,8 +2,9 @@
 """Post-processes Google Benchmark JSON into the BENCH_*.json artifact.
 
 Keeps only the fields that are comparable across machines and PRs (name,
-label, throughput, iteration time, user counters), sorts entries by name,
-and rounds values so re-running on the same machine produces small diffs.
+label, throughput, iteration time, user counters), sorts entries by name
+(and repetition, when the run repeated rows), and rounds values so
+re-running on the same machine produces small diffs.
 Usage: bench_to_json.py <raw-google-benchmark.json> [> BENCH_foo.json]
 """
 
@@ -31,6 +32,9 @@ def compact(raw):
             # pass it as --benchmark_context=git_sha=..., and load_client
             # writes it from --git-sha.
             "git_sha": ctx.get("git_sha"),
+            # Repetitions per row (bench/run_benches.sh passes it as
+            # --benchmark_context=repetitions=N); absent means one run.
+            "repetitions": int(ctx.get("repetitions", 1)),
         },
         "benchmarks": [],
     }
@@ -44,6 +48,8 @@ def compact(raw):
             "cpu_time_ns": round(bench.get("cpu_time", 0.0), 1),
             "iterations": bench.get("iterations"),
         }
+        if "repetition_index" in bench and "repetitions" in ctx:
+            entry["repetition"] = bench["repetition_index"]
         if "bytes_per_second" in bench:
             entry["mib_per_second"] = round(
                 bench["bytes_per_second"] / (1 << 20), 1)
@@ -59,10 +65,11 @@ def compact(raw):
             elif key in ("speedup_vs_rescan", "bytes_rescanned",
                          "rescan_ms", "edit_us"):
                 entry[key] = round(value, 1)
-            elif key in ("spliced_fraction", "pooled_vs_vector"):
+            elif key in ("spliced_fraction", "session_vs_one_scan"):
                 entry[key] = round(value, 3)
         out["benchmarks"].append(entry)
-    out["benchmarks"].sort(key=lambda entry: entry["name"] or "")
+    out["benchmarks"].sort(
+        key=lambda entry: (entry["name"] or "", entry.get("repetition", 0)))
     return out
 
 

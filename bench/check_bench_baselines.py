@@ -24,6 +24,15 @@ CMAKE_BUILD_TYPE the bench binary was compiled under) is refused before
 any row is compared: figures from an unoptimised or debug-info build are
 not comparable with the committed baselines.
 
+Every figure is judged on its best repetition: the highest throughput of
+an absolute row, each side of a relative floor on its own highest
+throughput, the highest value of a floored counter. A shared machine
+slows work in spells that hit some repetitions and not others, so the
+best repetition is the run the spell missed; a real slowdown slows all of
+them. The baselines file may set "min_repetitions"; an artifact that
+records fewer (context "repetitions", bench/run_benches.sh), or that
+holds fewer entries for any gated row, is refused.
+
 Usage:
   check_bench_baselines.py [--artifact BENCH_streaming.json]
                            [--baselines bench/bench_baselines.json]
@@ -47,18 +56,40 @@ def main():
     with open(args.baselines) as handle:
         baselines = json.load(handle)
 
-    build_type = artifact.get("context", {}).get("build_type")
+    context = artifact.get("context", {})
+    build_type = context.get("build_type")
     if build_type != "Release":
         print(f"FAIL: {args.artifact} was measured on build type "
               f"{build_type!r}; only Release artifacts are checked",
               file=sys.stderr)
         sys.exit(1)
 
-    measured = {
-        bench["name"]: bench.get("mib_per_second")
-        for bench in artifact.get("benchmarks", [])
-    }
-    rows = {bench["name"]: bench for bench in artifact.get("benchmarks", [])}
+    # Every repetition of every row, by name.
+    runs = {}
+    for bench in artifact.get("benchmarks", []):
+        runs.setdefault(bench["name"], []).append(bench)
+
+    def best(name, field):
+        values = [run[field] for run in runs.get(name, [])
+                  if run.get(field) is not None]
+        return max(values) if values else None
+
+    min_reps = int(baselines.get("min_repetitions", 1))
+    recorded = int(context.get("repetitions", 1))
+    gated = set(baselines.get("baselines_mib_per_second", {}))
+    for name, spec in baselines.get("relative_floors", {}).items():
+        gated.update((name, spec["of"]))
+    gated.update(baselines.get("counter_floors", {}))
+    thin = sorted(name for name in gated
+                  if 0 < len(runs.get(name, [])) < min_reps)
+    if recorded < min_reps or thin:
+        short = f" (rows short of it: {', '.join(thin)})" if thin else ""
+        print(f"FAIL: {args.artifact} records {recorded} repetition(s)"
+              f"{short}; the baselines ask for at least {min_reps}",
+              file=sys.stderr)
+        sys.exit(1)
+
+    measured = {name: best(name, "mib_per_second") for name in runs}
 
     failures = []
     absolute = baselines.get("baselines_mib_per_second", {})
@@ -106,17 +137,16 @@ def main():
     for name, spec in sorted(counters.items()):
         counter = spec["counter"]
         floor = float(spec["min"])
-        row = rows.get(name)
-        got = None if row is None else row.get(counter)
-        shown = "MISSING" if got is None else f"{got:.1f}"
-        print(f"{name:45} {counter:20} {floor:10.1f} {shown:>10}")
+        got = best(name, counter)
+        shown = "MISSING" if got is None else f"{got:.3f}"
+        print(f"{name:45} {counter:20} {floor:10.3f} {shown:>10}")
         if got is None:
             failures.append(
                 f"{name}.{counter}: not present in {args.artifact}")
         elif got < floor:
             failures.append(
-                f"{name}.{counter}: {got:.1f} below the committed floor "
-                f"{floor:.1f}")
+                f"{name}.{counter}: {got:.3f} below the committed floor "
+                f"{floor:.3f}")
 
     if failures:
         print("\nFAIL: padded-corpus throughput regression", file=sys.stderr)

@@ -9,7 +9,7 @@
 # post-processed by bench/bench_to_json.py into a stable, diff-friendly
 # shape. CI floor-checks the result against
 # bench/bench_incremental_baselines.json (the >= 10x edit-vs-rescan bar
-# and the pooled-vs-vector stack ratio).
+# and the stack Session's share of the one-scan pushdown runner).
 set -euo pipefail
 
 BUILD_DIR=build

@@ -50,8 +50,8 @@ class OwningStackMachine final : public StreamMachine {
   void OnClose(Symbol symbol) override { inner_.OnClose(symbol); }
   bool InAcceptingState() const override { return inner_.InAcceptingState(); }
 
-  // Checkpoint protocol and stack diagnostics pass through to the pooled
-  // evaluator (see BorrowingStackMachine in engine/query_plan.cc).
+  // Checkpoint protocol and stack diagnostics pass through to the
+  // evaluator.
   bool SaveConfig(std::vector<int64_t>* out) override {
     return inner_.SaveConfig(out);
   }
@@ -60,9 +60,6 @@ class OwningStackMachine final : public StreamMachine {
   }
   bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
     return inner_.ConfigEqualsCurrent(config);
-  }
-  void ReleaseConfig(const std::vector<int64_t>& config) override {
-    inner_.ReleaseConfig(config);
   }
   int64_t StackDepthPeak() const override { return inner_.StackDepthPeak(); }
   int64_t StackUnderflowCloses() const override {

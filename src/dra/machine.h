@@ -29,6 +29,16 @@ struct DraConfig {
   std::array<int64_t, kMaxRegisters> registers{};
 };
 
+// Per-level state column of the pushdown tier (StackQueryEvaluator):
+// states[d] is the state the opening tag at depth d pushed, bottom to top,
+// and peak is the high-water states.size(). This is what the stack tier
+// exports to the scanner's fused kernel (see ExportedStateColumn below),
+// which steps it in place beside its own label column.
+struct StateColumn {
+  std::vector<int> states;
+  int64_t peak = 0;
+};
+
 // Common interface of all streaming evaluators: explicit DRAs, registerless
 // automata, and the constructed evaluators of Section 3. A machine consumes
 // tag events; after any event its acceptance bit can be sampled.
@@ -100,26 +110,33 @@ class StreamMachine {
   virtual int64_t* ExportedVisitCounts() { return nullptr; }
   virtual void FoldExportedVisits() {}
 
+  // Pushdown fast-path export (the paper's stack baseline, §1): the stack
+  // tier exposes its state column, and its current state through
+  // ExportedState / SyncExportedState. Given a byte table over the
+  // machine's open transitions (closes self-loop), the fused kernel
+  // stores the state at every opening tag's depth and restores it on the
+  // matching close, then shrinks the column back to the element depth and
+  // syncs the state and the peak before it returns or hands the stream to
+  // the generic tier, whose OnOpen / OnClose push and pop the same column.
+  virtual StateColumn* ExportedStateColumn() { return nullptr; }
+
   // Checkpoint protocol (incremental re-evaluation, engine/incremental.h):
   // machines that can serialize their full configuration into a flat word
   // vector support suspend/resume at arbitrary event boundaries. The
   // stackless tiers write O(1)-to-O(registers) words — the paper's cheap-
-  // snapshot asset; the stack tier stores a handle to a retained head in
-  // its pooled persistent stack (eval/stack_evaluator.h), still O(1).
+  // snapshot asset; the stack tier copies its state column, O(depth) words,
+  // the same order as the validator labels every checkpoint already
+  // copies.
   //
   //   SaveConfig        appends nothing on failure; true and `out`
-  //                     overwritten on success. May retain machine-owned
-  //                     resources: every saved config must eventually be
-  //                     passed to ReleaseConfig or dropped via Reset().
-  //   RestoreConfig     adopts a previously saved (not yet released)
-  //                     config; the config stays valid and may be restored
-  //                     again (repeated edits resume from one checkpoint).
+  //                     overwritten on success.
+  //   RestoreConfig     adopts a previously saved config; the config stays
+  //                     valid and may be restored again (repeated edits
+  //                     resume from one checkpoint).
   //   ConfigEqualsCurrent  true iff the machine's live configuration is
   //                     semantically identical to the saved one — the
   //                     convergence test of incremental re-evaluation.
   //                     Diagnostic counters do not participate.
-  //   ReleaseConfig     drops one saved config (frees pooled stack nodes
-  //                     on the stack tier; no-op for flat configs).
   //
   // The default "unsupported" answers keep exotic machines (products,
   // test doubles) safely on the full-rescan path.
@@ -131,7 +148,6 @@ class StreamMachine {
       const std::vector<int64_t>& /*config*/) const {
     return false;
   }
-  virtual void ReleaseConfig(const std::vector<int64_t>& /*config*/) {}
 
   // Stack-tier diagnostics, surfaced through StreamStats (and from there
   // the server metrics frame). Zero on the stackless tiers by definition:

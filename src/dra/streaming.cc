@@ -159,12 +159,15 @@ StreamingSelector::StreamingSelector(
       fused_dras_(fused_dras.begin(), fused_dras.end()) {
   SST_CHECK(tables_ != nullptr);
   if (fused_ != nullptr || !fused_dras_.empty()) {
-    // The kernel steps the machine's exported state and configurations in
-    // place, so shared fused tables are only sound for a machine that
-    // exports exactly these automata (of matching size) on compact markup.
+    // The kernel steps the machine's exported state, column and
+    // configurations in place, so shared fused tables are only sound for a
+    // machine that exports exactly these automata (of matching size), or a
+    // state column beside a table and nothing else, on compact markup.
     SST_CHECK(format_ == Format::kCompactMarkup);
     const TagDfa* dfa = machine_->ExportTagDfa();
-    SST_CHECK((fused_ == nullptr) == (dfa == nullptr));
+    const bool stack = machine_->ExportedStateColumn() != nullptr;
+    SST_CHECK((fused_ == nullptr) == (dfa == nullptr && !stack));
+    SST_CHECK(!stack || (dfa == nullptr && fused_dras_.empty()));
     SST_CHECK(dfa == nullptr || dfa->num_states == fused_->num_states());
     const std::span<const Dra* const> dras = machine_->ExportDras();
     SST_CHECK(KernelCoversShape(machine_));
@@ -336,10 +339,6 @@ bool StreamingSelector::RestoreCheckpoint(const SelectorCheckpoint& cp) {
   recovered_errors_ = cp.recovered;
   recorder_.Reset();  // keeps the sink and max_pending wiring
   return true;
-}
-
-void StreamingSelector::ReleaseCheckpoint(const SelectorCheckpoint& cp) {
-  machine_->ReleaseConfig(cp.machine_config);
 }
 
 bool StreamingSelector::CheckpointConverged(const SelectorCheckpoint& cp,
@@ -694,12 +693,13 @@ void StreamingSelector::FlushFusedHits(const size_t* indices, size_t count) {
   }
 }
 
-template <typename T, bool kDras, bool kProduct,
+template <typename T, bool kDras, bool kStack, bool kProduct,
           StreamingSelector::FusedEmit kEmit>
 bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
                                   int64_t* visits) {
   constexpr bool kTable = !std::is_void_v<T>;
   static_assert(kTable || kDras);
+  static_assert(!kStack || (kTable && !kDras && !kProduct));
   // The compact-markup byte_symbol table is -1 on every byte that is not
   // a known letter, so `s < 0` alone rejects junk and unknown labels, and
   // the tag kind of a letter is its bit 5 (set on 'a'..'z', clear on
@@ -738,6 +738,12 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
   int64_t* dra_visits =
       kProduct && kDras ? visits + (kTable ? fused_->num_states() : 0)
                         : nullptr;
+  // The pushdown tier's state column (the paper's §1 baseline), stepped
+  // like the label column: column[d] holds the state the open at depth d
+  // pushed. It needs one more slot per block than the labels, for the
+  // unconditional read of the slot just above the top.
+  StateColumn* stack = kStack ? machine_->ExportedStateColumn() : nullptr;
+  int* column = kStack ? stack->states.data() : nullptr;
   // Opens are (events + depth) / 2 from any starting point, so nodes are
   // not counted per byte; and the stream has seen its root iff it has
   // seen an event, so trailing content needs no flag of its own.
@@ -771,7 +777,17 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
     if (SST_UNLIKELY(bad)) return true;
     labels[depth] = s;
     int64_t accept = 0;
-    if constexpr (kTable) {
+    if constexpr (kStack) {
+      // Push and pop without a branch: the state is stored at the
+      // element's depth on every byte (a close's store lands above the
+      // new top, like its label's), an open steps the table, and a close
+      // restores the state of the level it returns to, in one select.
+      column[depth] = static_cast<int>(state);
+      const size_t restored = static_cast<size_t>(column[next_depth]);
+      const size_t stepped = table[state * 256 + c];
+      state = open ? stepped : restored;
+      accept = accepting[state];
+    } else if constexpr (kTable) {
       state = table[state * 256 + c];
       accept = accepting[state];
       if constexpr (kProduct) visits[state] += open & accept;
@@ -835,6 +851,13 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
       open_labels_.resize(static_cast<size_t>(depth + kBlockSlots));
       labels = open_labels_.data();
     }
+    if constexpr (kStack) {
+      const int64_t slots = depth + kBlockSlots + 1;
+      if (static_cast<int64_t>(stack->states.size()) < slots) {
+        stack->states.resize(static_cast<size_t>(slots));
+        column = stack->states.data();
+      }
+    }
     if constexpr (kEmit == FusedEmit::kVerdicts) {
       if (hits > kHitCap - 64) {
         FlushFusedHits(hit_index, hits);
@@ -884,9 +907,13 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
   max_depth_ = max_depth;
   events_ = events;
   matches_ = matches;
-  // Sync the machine: the table state, the one depth every DRA shares,
-  // and the member counts.
+  // Sync the machine: the table state, the state column and its peak, the
+  // one depth every DRA shares, and the member counts.
   if constexpr (kTable) machine_->SyncExportedState(static_cast<int>(state));
+  if constexpr (kStack) {
+    stack->states.resize(static_cast<size_t>(depth));
+    stack->peak = max_depth > stack->peak ? max_depth : stack->peak;
+  }
   if constexpr (kOneDra) configs[0] = one;
   for (size_t j = 0; j < num_dras; ++j) configs[j].depth = depth;
   if constexpr (kProduct) machine_->FoldExportedVisits();
@@ -902,8 +929,8 @@ bool StreamingSelector::ScanFused(std::string_view chunk, const T* table,
 
 bool StreamingSelector::FeedFused(std::string_view chunk) {
   // Picks the kernel instantiation: table width (or no table), DRA
-  // side-cars, product (the machine exports a visit counter), and
-  // emission policy.
+  // side-cars or a state column, product (the machine exports a visit
+  // counter), and emission policy.
   using E = FusedEmit;
   int64_t* visits = machine_->ExportedVisitCounts();
   E emit = E::kNone;
@@ -914,39 +941,48 @@ bool StreamingSelector::FeedFused(std::string_view chunk) {
   } else if (recorder_.active()) {
     emit = E::kVerdicts;
   }
-  auto scan = [&]<typename T, bool kDras>(const T* t,
-                                          std::bool_constant<kDras>) {
+  auto scan = [&]<typename T, bool kDras, bool kStack>(
+                  const T* t, std::bool_constant<kDras>,
+                  std::bool_constant<kStack>) {
     auto product = [&] {
       return emit == E::kFull
-                 ? ScanFused<T, kDras, true, E::kFull>(chunk, t, visits)
-                 : ScanFused<T, kDras, true, E::kNone>(chunk, t, visits);
+                 ? ScanFused<T, kDras, false, true, E::kFull>(chunk, t, visits)
+                 : ScanFused<T, kDras, false, true, E::kNone>(chunk, t,
+                                                              visits);
     };
     // A table beside DRAs is a multi-member machine's (mixed batch).
     if constexpr (kDras && !std::is_void_v<T>) {
       return product();
     } else {
-      if (visits != nullptr) return product();
+      if constexpr (!kStack) {
+        if (visits != nullptr) return product();
+      }
       switch (emit) {
         case E::kNone:
-          return ScanFused<T, kDras, false, E::kNone>(chunk, t, nullptr);
+          return ScanFused<T, kDras, kStack, false, E::kNone>(chunk, t,
+                                                              nullptr);
         case E::kVerdicts:
-          return ScanFused<T, kDras, false, E::kVerdicts>(chunk, t, nullptr);
+          return ScanFused<T, kDras, kStack, false, E::kVerdicts>(chunk, t,
+                                                                  nullptr);
         case E::kFull:
           break;
       }
-      return ScanFused<T, kDras, false, E::kFull>(chunk, t, nullptr);
+      return ScanFused<T, kDras, kStack, false, E::kFull>(chunk, t, nullptr);
     }
   };
+  using Yes = std::true_type;
+  using No = std::false_type;
   if (fused_ == nullptr) {
-    return scan(static_cast<const void*>(nullptr), std::true_type{});
+    return scan(static_cast<const void*>(nullptr), Yes{}, No{});
   }
   const bool dras = !fused_dras_.empty();
-  if (fused_->uses_compact_table()) {
-    return dras ? scan(fused_->table16(), std::true_type{})
-                : scan(fused_->table16(), std::false_type{});
-  }
-  return dras ? scan(fused_->table32(), std::true_type{})
-              : scan(fused_->table32(), std::false_type{});
+  const bool stack = machine_->ExportedStateColumn() != nullptr;
+  auto with_table = [&](const auto* t) {
+    if (dras) return scan(t, Yes{}, No{});
+    return stack ? scan(t, No{}, Yes{}) : scan(t, No{}, No{});
+  };
+  return fused_->uses_compact_table() ? with_table(fused_->table16())
+                                      : with_table(fused_->table32());
 }
 
 bool StreamingSelector::FeedTerm(std::string_view chunk) {

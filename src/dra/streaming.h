@@ -117,11 +117,12 @@ struct SelectorCheckpoint;
 // kDepthReserve on pathologically deep documents). On compact markup, a
 // machine that exports a plain TagDfa (registerless tier, or the eager
 // product of a batch), one or more restricted DRAs (stackless tier,
-// Lemma 3.8, or the stackless members of a mixed batch), or both, runs on
-// one validated kernel: per structural byte it steps the fused
-// ByteTagDfaRunner byte→state table (Section 4.3) and every fused
-// ByteDraRunner, which resolves depth, registers and the comparison code
-// inline — no virtual dispatch, and no data-dependent branch per event
+// Lemma 3.8, or the stackless members of a mixed batch), both, or a state
+// column (the pushdown tier), runs on one validated kernel: per structural
+// byte it steps the fused ByteTagDfaRunner byte→state table (Section 4.3)
+// and every fused ByteDraRunner, which resolves depth, registers and the
+// comparison code inline, or steps the table and the state column side by
+// side — no virtual dispatch, and no data-dependent branch per event
 // beyond the DRA step's one branch on the tag kind.
 // Recovery demotes the kernel to the generic machine tier for the rest of
 // the document (the degradation ladder); Reset() re-arms it.
@@ -129,13 +130,13 @@ class StreamingSelector {
  public:
   using Format = StreamFormat;
 
-  // Which rung of the degradation ladder is executing events. The stack
-  // tier (StackQueryEvaluator) — below all of these — is chosen by the
-  // caller as the machine itself; the selector can only report the rungs
-  // it switches between internally: the fused kernel over a byte table
-  // alone (registerless, fused-product batch), the fused kernel stepping
-  // restricted DRAs (stackless, mixed batch; with or without a table),
-  // and the generic virtual machine.
+  // Which rung of the degradation ladder is executing events: the fused
+  // kernel over a byte table (registerless, fused-product batch, and the
+  // pushdown tier, whose table steps opens beside its state column), the
+  // fused kernel stepping restricted DRAs (stackless, mixed batch; with or
+  // without a table), and the generic virtual machine. The machine kind
+  // itself (which of the paper's tiers) is the plan's choice; the selector
+  // reports the rung it switches between internally.
   enum class Tier { kFusedByteTable, kFusedDraTable, kGenericMachine };
 
   // One recovered error: the structured error plus the excised byte range.
@@ -185,10 +186,12 @@ class StreamingSelector {
   // shared plan instead of building them. `tables` must have been built
   // for exactly this (format, alphabet). `fused` and `fused_dras` are the
   // fused kernel's tables: `fused` the byte table of the TagDfa the
-  // machine exports, `fused_dras` one ByteDraRunner per DRA it exports, in
-  // export order (the kernel steps the exported state and configurations
-  // in place). The kernel runs when they cover the machine's whole export
-  // and at least one is given; otherwise — and always when both are
+  // machine exports (or, for a machine exporting a state column, the
+  // table of its open transitions: QueryPlan::stack_table()), `fused_dras`
+  // one ByteDraRunner per DRA it exports, in export order (the kernel
+  // steps the exported state, column and configurations in place). The
+  // kernel runs when they cover the machine's whole export and at least
+  // one is given; otherwise — and always when both are
   // empty — the selector runs the generic tier. No table construction —
   // and no allocation proportional to the automaton — happens on this
   // path; see engine/session.h.
@@ -288,19 +291,13 @@ class StreamingSelector {
   // resources retained — when the machine does not support the config
   // protocol or when pending match spans exist (checkpointing requires a
   // verdict-only or absent sink). Must not be called after a fatal error.
-  // Saved checkpoints pin machine resources (stack-tier nodes) until
-  // ReleaseCheckpoint or machine Reset.
   bool SaveCheckpoint(SelectorCheckpoint* out);
 
-  // Adopts a saved (not yet released) checkpoint, clearing any fatal
+  // Adopts a saved checkpoint, clearing any fatal
   // state recorded since; the checkpoint stays valid for further
   // restores. The running max-depth is re-based at the restored depth
   // (see TakeSegmentPeakDepth). False if the machine rejects the config.
   bool RestoreCheckpoint(const SelectorCheckpoint& cp);
-
-  // Drops one saved checkpoint (frees stack-tier nodes; flat-config tiers
-  // need no release, but calling this unconditionally is always correct).
-  void ReleaseCheckpoint(const SelectorCheckpoint& cp);
 
   // Convergence test: true iff the live state at the current position is
   // byte-for-byte the state `cp` recorded, modulo a uniform shift of
@@ -319,8 +316,9 @@ class StreamingSelector {
   int64_t TakeSegmentPeakDepth();
 
   // True when the fused kernel is active (not demoted) and steps a byte
-  // table: a registerless machine, or an eager product (fused-product and
-  // mixed batches), on compact markup with single-letter labels.
+  // table: a registerless machine, an eager product (fused-product and
+  // mixed batches), or the pushdown tier's open table beside its state
+  // column, on compact markup with single-letter labels.
   bool using_fused_fast_path() const {
     return fused_ != nullptr && !demoted_;
   }
@@ -371,10 +369,11 @@ class StreamingSelector {
 
   // The fused kernel (compact markup): one resumable pass that steps the
   // optional byte table `table` (T = void: none) and, with kDras, every
-  // fused DRA side by side, validates the framing and updates every
-  // counter with selects. All of FeedMarkup's checks fold into one
-  // flag behind a single never-taken branch, which syncs the table state
-  // and the DRA configurations and hands the offending byte to
+  // fused DRA side by side, or with kStack the machine's state column
+  // beside the table, validates the framing and updates every counter
+  // with selects. All of FeedMarkup's checks fold into one flag behind a
+  // single never-taken branch, which syncs the table state, the DRA
+  // configurations and the state column and hands the offending byte to
   // FeedMarkup — so error codes, offsets, recovery and demotion are the
   // generic tier's own. kProduct: the machine is multi-member and exports
   // an open-visit counter, which the kernel bumps for the per-member
@@ -391,7 +390,8 @@ class StreamingSelector {
     return fused_ != nullptr || !fused_dras_.empty();
   }
   bool FeedFused(std::string_view chunk);
-  template <typename T, bool kDras, bool kProduct, FusedEmit kEmit>
+  template <typename T, bool kDras, bool kStack, bool kProduct,
+            FusedEmit kEmit>
   bool ScanFused(std::string_view chunk, const T* table, int64_t* visits);
   void RecordFusedMatch(bool product, int state, int64_t depth,
                         int64_t start);
@@ -497,7 +497,7 @@ class StreamingSelector {
 // always empty.
 struct SelectorCheckpoint {
   // Machine configuration (StreamMachine::SaveConfig words; the stack tier
-  // stores a retained pool-slot handle — release via ReleaseCheckpoint).
+  // copies its state column, like open_labels below).
   std::vector<int64_t> machine_config;
 
   // Well-formedness validator: the open-element labels, bottom to top.

@@ -45,19 +45,6 @@ int64_t CheckpointStream::SuffixPeak(size_t from, int64_t tail_peak) const {
   return peak;
 }
 
-void CheckpointStream::ReleaseRange(StreamingSelector* selector, size_t from,
-                                    size_t to) {
-  SST_CHECK(to <= cps_.size());
-  for (size_t i = from; i < to; ++i) {
-    selector->ReleaseCheckpoint(cps_[i].state);
-  }
-}
-
-void CheckpointStream::Clear(StreamingSelector* selector) {
-  ReleaseRange(selector, 0, cps_.size());
-  cps_.clear();
-}
-
 void CheckpointStream::ReplaceAll(std::vector<Checkpoint> cps) {
   cps_ = std::move(cps);
 }

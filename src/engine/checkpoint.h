@@ -27,9 +27,8 @@ struct Checkpoint {
 // increasing offsets (the first always at offset 0 — the origin), with the
 // binary searches ApplyEdit needs (resume point at or before the edit,
 // first convergence candidate at or after it) and the peak-depth algebra
-// of the splice step. Owns no machine resources directly — releasing a
-// checkpoint goes through the selector so the machine can free what the
-// saved config retains (stack-tier pooled nodes).
+// of the splice step. Every checkpoint is a flat copy, so dropping one
+// needs nothing beyond erasing it.
 class CheckpointStream {
  public:
   bool empty() const { return cps_.empty(); }
@@ -56,12 +55,8 @@ class CheckpointStream {
   // starting at checkpoint from-1's offset.
   int64_t SuffixPeak(size_t from, int64_t tail_peak) const;
 
-  // Releases checkpoints [from, to) through the selector. Does not erase
-  // them (callers rebuilding the stream splice survivors themselves).
-  void ReleaseRange(StreamingSelector* selector, size_t from, size_t to);
-
-  // Releases everything and empties the stream.
-  void Clear(StreamingSelector* selector);
+  // Empties the stream.
+  void Clear() { cps_.clear(); }
 
   // Replaces the underlying storage (the splice step rebuilds the stream
   // as prefix + rescan checkpoints + rebased suffix).

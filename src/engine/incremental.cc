@@ -32,7 +32,9 @@ IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
     : plan_(std::move(plan)),
       machine_(plan_->NewMachine()),
       selector_(machine_.get(), plan_->options().format, &plan_->alphabet(),
-                &plan_->scanner_tables(), plan_->fused(),
+                &plan_->scanner_tables(),
+                plan_->fused() != nullptr ? plan_->fused()
+                                          : plan_->stack_table(),
                 plan_->fused_dras()),
       options_(options) {
   SST_CHECK_MSG(machine_ != nullptr,
@@ -88,9 +90,7 @@ IncrementalSession::Results IncrementalSession::CaptureLiveResults(
 }
 
 void IncrementalSession::DoFullScan(std::string_view document) {
-  // Release retained machine resources before Reset wipes the machine's
-  // slot table (the reverse order would release stale handles).
-  cps_.Clear(&selector_);
+  cps_.Clear();
   scratch_events_.clear();
   selector_.Reset();
 
@@ -217,7 +217,6 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     out.path = EditPath::kScannedToEnd;
     out.checkpoints_dropped =
         static_cast<int64_t>(cps_.size()) - (ri + 1);
-    cps_.ReleaseRange(&selector_, static_cast<size_t>(ri) + 1, cps_.size());
     std::vector<Checkpoint> ncps;
     ncps.reserve(static_cast<size_t>(ri) + 1 + rescan_cps.size());
     for (size_t k = 0; k <= static_cast<size_t>(ri); ++k) {
@@ -401,7 +400,6 @@ IncrementalSession::EditOutcome IncrementalSession::ApplyEdit(
     s.recovered = std::move(nr);
     ncps.push_back(std::move(cp));
   }
-  cps_.ReleaseRange(&selector_, static_cast<size_t>(ri) + 1, j);
   cps_.ReplaceAll(std::move(ncps));
 
   out.path = EditPath::kSplicedSuffix;

@@ -19,9 +19,9 @@ namespace sst {
 struct IncrementalOptions {
   // Checkpoint grid: one checkpoint every `checkpoint_interval` document
   // bytes. Smaller intervals mean less rescanning per edit and more
-  // retained state; the stackless tiers pay O(1)-O(registers) words per
-  // checkpoint, the stack tier one retained pooled node (shared suffixes
-  // are structural, so even deep documents stay cheap).
+  // retained state. Every checkpoint copies the validator's open labels
+  // (O(depth)); on top of that the stackless tiers pay O(1)-O(registers)
+  // words and the stack tier a copy of its state column (O(depth) again).
   int64_t checkpoint_interval = int64_t{1} << 16;
 
   // Forwarded to the selector before the first scan. Splicing suffix
@@ -50,10 +50,11 @@ struct IncrementalOptions {
 // rescan fallback with the prefix before the edit still reused.
 //
 // This cashes in the paper's central asset: a stackless configuration is
-// O(1) — state, depth counter, register bank — so checkpoints cost words,
-// not stacks. The pushdown fallback joins via the pooled persistent stack
-// (eval/stack_evaluator.h): its checkpoint is a retained node pointer,
-// O(1) to take, with suffixes shared structurally between checkpoints.
+// O(1) — state, depth counter, register bank — so the machine's share of a
+// checkpoint is words, not stacks. The pushdown fallback
+// (eval/stack_evaluator.h) copies its state column, which costs the same
+// order as the validator labels every checkpoint copies anyway: a few KB
+// at the depths of real documents.
 //
 // The session never stores document bytes: the caller owns the document
 // and passes the post-edit bytes to ApplyEdit (the tree-sitter contract —
@@ -128,9 +129,9 @@ class IncrementalSession {
   int64_t document_size() const { return doc_size_; }
   const QueryPlan& plan() const { return *plan_; }
 
-  // The rung the live selector scans on: compact-markup registerless and
-  // stackless plans scan and resume on the fused kernel until a recovery
-  // demotes the document to the generic tier.
+  // The rung the live selector scans on: compact-markup plans of every
+  // tier scan and resume on the fused kernel until a recovery demotes the
+  // document to the generic tier.
   StreamingSelector::Tier active_tier() const {
     return selector_.active_tier();
   }

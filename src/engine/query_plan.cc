@@ -35,41 +35,21 @@ bool FusedEligible(const TagDfa& dfa, const Alphabet& alphabet) {
 constexpr int kDraStateBudget = 4096;
 constexpr int64_t kDraTableBudget = int64_t{1} << 22;
 
-// Owning adapter over the plan's minimal DFA for the pushdown baseline
-// tier (StackQueryEvaluator borrows a Dfa*; the plan outlives it via the
-// session's shared_ptr).
-class BorrowingStackMachine final : public StreamMachine {
- public:
-  explicit BorrowingStackMachine(const Dfa* dfa) : inner_(dfa) {}
-
-  void Reset() override { inner_.Reset(); }
-  void OnOpen(Symbol symbol) override { inner_.OnOpen(symbol); }
-  void OnClose(Symbol symbol) override { inner_.OnClose(symbol); }
-  bool InAcceptingState() const override { return inner_.InAcceptingState(); }
-
-  // The checkpoint protocol and stack diagnostics pass straight through —
-  // without these forwards the stack tier would report checkpointing as
-  // unsupported and every edit would fall back to a full rescan.
-  bool SaveConfig(std::vector<int64_t>* out) override {
-    return inner_.SaveConfig(out);
+// The pushdown tier's byte table: the minimal DFA's transitions on
+// opening letters, with every closing letter a self-loop (the kernel
+// restores the state from its column on a close instead).
+ByteTagDfaRunner BuildStackTable(const Dfa& dfa, const Alphabet& alphabet) {
+  TagDfa opens = TagDfa::Create(dfa.num_states, dfa.num_symbols);
+  opens.initial = dfa.initial;
+  for (int q = 0; q < dfa.num_states; ++q) {
+    opens.accepting[q] = dfa.accepting[q];
+    for (Symbol a = 0; a < dfa.num_symbols; ++a) {
+      opens.SetNextOpen(q, a, dfa.Next(q, a));
+      opens.SetNextClose(q, a, q);
+    }
   }
-  bool RestoreConfig(const std::vector<int64_t>& config) override {
-    return inner_.RestoreConfig(config);
-  }
-  bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
-    return inner_.ConfigEqualsCurrent(config);
-  }
-  void ReleaseConfig(const std::vector<int64_t>& config) override {
-    inner_.ReleaseConfig(config);
-  }
-  int64_t StackDepthPeak() const override { return inner_.StackDepthPeak(); }
-  int64_t StackUnderflowCloses() const override {
-    return inner_.StackUnderflowCloses();
-  }
-
- private:
-  StackQueryEvaluator inner_;
-};
+  return ByteTagDfaRunner(opens, alphabet);
+}
 
 }  // namespace
 
@@ -175,6 +155,12 @@ std::shared_ptr<const QueryPlan> QueryPlan::Compile(
     }
   } else if (options.allow_stack_fallback) {
     plan->kind_ = EvaluatorKind::kStackBaseline;
+    if (options.format == StreamFormat::kCompactMarkup &&
+        plan->minimal_dfa_.num_symbols == plan->alphabet_.size() &&
+        CompactLabels(plan->alphabet_)) {
+      plan->stack_table_ = std::make_unique<ByteTagDfaRunner>(
+          BuildStackTable(plan->minimal_dfa_, plan->alphabet_));
+    }
   } else {
     return plan;  // exact_ = false; classification still available
   }
@@ -196,7 +182,7 @@ std::unique_ptr<StreamMachine> QueryPlan::NewMachine() const {
       if (fused_dra_) return std::make_unique<DraRunner>(&*stackless_dra_);
       return std::make_unique<StacklessQueryEvaluator>(&*stackless_);
     case EvaluatorKind::kStackBaseline:
-      return std::make_unique<BorrowingStackMachine>(&minimal_dfa_);
+      return std::make_unique<StackQueryEvaluator>(&minimal_dfa_);
   }
   return nullptr;
 }

@@ -57,9 +57,11 @@ struct PlanOptions {
 //   fused byte table  ->  fused DRA table  ->  generic machine  ->  stack
 // fused() non-null means the registerless byte-table rung exists;
 // fused_dra() non-null the stackless one (Lemma 3.8 materialized into a
-// restricted DRA and flattened to byte-table form — at most one of the two
-// is present); kind() names the strongest machine tier NewMachine()
-// instantiates; minimal_dfa() always supports the pushdown baseline.
+// restricted DRA and flattened to byte-table form); stack_table() non-null
+// that the pushdown tier runs on the same validated kernel, its state
+// column beside the label column. At most one of the three is present;
+// kind() names the strongest machine tier NewMachine() instantiates;
+// minimal_dfa() always supports the pushdown baseline.
 class QueryPlan {
  public:
   // Classifies the query and builds every immutable table of the
@@ -113,6 +115,14 @@ class QueryPlan {
     return {&fused_dra_ptr_, fused_dra_ptr_ != nullptr ? size_t{1} : 0};
   }
 
+  // Pushdown tier (kind() == kStackBaseline, compact markup,
+  // single-lowercase-letter labels): the byte table over the minimal DFA's
+  // open transitions, closes self-looping, which the fused kernel steps
+  // beside the machine's state column. Null otherwise. Deliberately not
+  // fused(): that is the registerless one-scan table, and callers use it
+  // as a counting oracle, which this table is not (it cannot pop).
+  const ByteTagDfaRunner* stack_table() const { return stack_table_.get(); }
+
   // Per-byte scanner classification for options().format.
   const ScannerTables& scanner_tables() const { return scanner_tables_; }
 
@@ -143,6 +153,7 @@ class QueryPlan {
   std::optional<Dra> stackless_dra_;
   std::unique_ptr<ByteDraRunner> fused_dra_;
   const ByteDraRunner* fused_dra_ptr_ = nullptr;  // fused_dra_.get()
+  std::unique_ptr<ByteTagDfaRunner> stack_table_;
   ScannerTables scanner_tables_;
 };
 

@@ -5,8 +5,6 @@
 #include <vector>
 
 #include "automata/dfa.h"
-#include "base/check.h"
-#include "base/pooled_stack.h"
 #include "dra/machine.h"
 
 namespace sst {
@@ -26,204 +24,103 @@ namespace sst {
 // ignored (and counted in underflow_closes() for diagnosis) instead of
 // corrupting the state.
 //
-// The per-level states live on a refcounted pooled persistent stack
-// (base/pooled_stack.h) rather than a std::vector: chunked nodes come
-// from a slab-backed free list (zero steady-state heap allocation —
-// asserted by the operator-new counter test), and the checkpoint protocol
-// snapshots the whole Θ(depth) configuration in O(1) by retaining the top
-// chunk and recording the live index. Checkpoints of one document share
-// every common stack suffix structurally, which is what makes
-// depth-indexed checkpointing affordable on the one tier whose
-// configuration is not O(1).
+// The per-level states are one flat column (StateColumn), the same shape
+// as the scanner's validator labels. On compact markup the scanner's
+// fused kernel steps the column in place beside those labels
+// (ExportedStateColumn); on every other path OnOpen / OnClose push and pop
+// it. The column keeps its capacity across Reset, so a warm machine
+// streams without heap allocation, and a checkpoint copies the column
+// (O(depth) words, like the labels the selector checkpoint copies).
 class StackQueryEvaluator final : public StreamMachine {
  public:
-  explicit StackQueryEvaluator(const Dfa* dfa) : dfa_(dfa) {
-    state_ = dfa_->initial;
-  }
+  explicit StackQueryEvaluator(const Dfa* dfa)
+      : dfa_(dfa), state_(dfa->initial) {}
 
   void Reset() override {
-    // A pooled Session returned to SessionPool must not pin stack nodes
-    // across leases: drop the live chain AND every snapshot a checkpoint
-    // still retains back into the free list (slabs are kept for reuse).
-    stack_.Clear();
-    for (Snapshot& snap : saved_) {
-      stack_.Release(snap);
-      snap = Snapshot{};
-    }
-    saved_.clear();
-    free_slots_.clear();
+    column_.states.clear();
+    column_.peak = 0;
     state_ = dfa_->initial;
-    max_stack_depth_ = 0;
     underflow_closes_ = 0;
   }
 
   void OnOpen(Symbol symbol) override {
-    stack_.Push(state_);
-    if (stack_.size() > max_stack_depth_) max_stack_depth_ = stack_.size();
+    column_.states.push_back(state_);
+    const int64_t size = static_cast<int64_t>(column_.states.size());
+    if (size > column_.peak) column_.peak = size;
     state_ = dfa_->Next(state_, symbol);
   }
 
   void OnClose(Symbol /*symbol*/) override {
-    if (stack_.empty()) {
+    if (column_.states.empty()) {
       ++underflow_closes_;  // invalid stream; stay put
       return;
     }
-    state_ = stack_.top();
-    stack_.Pop();
+    state_ = column_.states.back();
+    column_.states.pop_back();
   }
 
   bool InAcceptingState() const override { return dfa_->accepting[state_]; }
 
-  // Checkpoint protocol: {state, snapshot slot, underflow count, chain
-  // size}. The slot indexes a retained (chunk, index) snapshot in the node
-  // pool — the O(1) capture of the Θ(depth) chain; the size rides in the
-  // config so unequal depths reject in O(1). Peak depth does not
-  // round-trip (it is a diagnostic of the run, not of the configuration);
-  // RestoreConfig re-bases it at the restored depth, mirroring what the
-  // incremental scanner does with its own segment peaks.
+  int ExportedState() const override { return state_; }
+  void SyncExportedState(int state) override { state_ = state; }
+  StateColumn* ExportedStateColumn() override { return &column_; }
+
+  // Checkpoint protocol: {state, underflow count, column bottom to top}.
+  // Peak depth does not round-trip (it is a diagnostic of the run, not of
+  // the configuration); RestoreConfig re-bases it at the restored depth,
+  // mirroring what the incremental scanner does with its own segment
+  // peaks.
   bool SaveConfig(std::vector<int64_t>* out) override {
-    Snapshot snap = stack_.TakeSnapshot();
-    size_t slot;
-    if (!free_slots_.empty()) {
-      slot = free_slots_.back();
-      free_slots_.pop_back();
-      saved_[slot] = snap;
-    } else {
-      slot = saved_.size();
-      saved_.push_back(snap);
-    }
     out->clear();
     out->push_back(state_);
-    out->push_back(static_cast<int64_t>(slot));
-    out->push_back(static_cast<int64_t>(underflow_closes_));
-    out->push_back(static_cast<int64_t>(stack_.size()));
+    out->push_back(underflow_closes_);
+    out->insert(out->end(), column_.states.begin(), column_.states.end());
     return true;
   }
 
   bool RestoreConfig(const std::vector<int64_t>& config) override {
-    if (config.size() != 4) return false;
-    const size_t slot = static_cast<size_t>(config[1]);
-    if (slot >= saved_.size()) return false;
-    stack_.Restore(saved_[slot], static_cast<uint64_t>(config[3]));
+    if (config.size() < 2) return false;
     state_ = static_cast<int>(config[0]);
-    underflow_closes_ = static_cast<size_t>(config[2]);
-    max_stack_depth_ = stack_.size();
+    underflow_closes_ = config[1];
+    column_.states.assign(config.begin() + 2, config.end());
+    column_.peak = static_cast<int64_t>(column_.states.size());
     return true;
   }
 
   bool ConfigEqualsCurrent(const std::vector<int64_t>& config) const override {
-    if (config.size() != 4) return false;
-    const size_t slot = static_cast<size_t>(config[1]);
-    if (slot >= saved_.size()) return false;
     // The underflow counter is a diagnostic, not part of the future-
-    // determining configuration; counts are spliced separately. Unequal
-    // depths reject on the size word — O(1), no chain walk.
-    return config[0] == state_ &&
-           static_cast<uint64_t>(config[3]) == stack_.size() &&
-           stack_.EqualsSnapshot(saved_[slot]);
+    // determining configuration; counts are spliced separately.
+    if (config.size() != column_.states.size() + 2 || config[0] != state_) {
+      return false;
+    }
+    for (size_t d = 0; d < column_.states.size(); ++d) {
+      if (config[d + 2] != column_.states[d]) return false;
+    }
+    return true;
   }
 
-  void ReleaseConfig(const std::vector<int64_t>& config) override {
-    if (config.size() != 4) return;
-    const size_t slot = static_cast<size_t>(config[1]);
-    if (slot >= saved_.size()) return;
-    stack_.Release(saved_[slot]);
-    saved_[slot] = Snapshot{};
-    free_slots_.push_back(slot);
-  }
-
-  int64_t StackDepthPeak() const override {
-    return static_cast<int64_t>(max_stack_depth_);
-  }
-  int64_t StackUnderflowCloses() const override {
-    return static_cast<int64_t>(underflow_closes_);
-  }
+  int64_t StackDepthPeak() const override { return column_.peak; }
+  int64_t StackUnderflowCloses() const override { return underflow_closes_; }
 
   // Peak auxiliary memory, in stacked states (benchmark counter).
   size_t max_stack_depth() const {
-    return static_cast<size_t>(max_stack_depth_);
+    return static_cast<size_t>(column_.peak);
   }
 
   // Current nesting depth as seen by the evaluator.
-  size_t depth() const { return static_cast<size_t>(stack_.size()); }
+  size_t depth() const { return column_.states.size(); }
 
   // Close events ignored because nothing was open — nonzero means the
   // upstream scanner fed an unbalanced stream.
-  size_t underflow_closes() const { return underflow_closes_; }
-
-  // Pool observability for the steady-state allocation tests.
-  size_t pool_slabs() const { return stack_.slabs(); }
-  size_t live_checkpoints() const {
-    return saved_.size() - free_slots_.size();
+  size_t underflow_closes() const {
+    return static_cast<size_t>(underflow_closes_);
   }
 
  private:
-  using Snapshot = PooledStack<int>::Snapshot;
-
   const Dfa* dfa_;
-  PooledStack<int> stack_;
+  StateColumn column_;
   int state_ = 0;
-  uint64_t max_stack_depth_ = 0;
-  size_t underflow_closes_ = 0;
-
-  // Retained checkpoint snapshots, indexed by the slot stored in the
-  // config words. Freed slots are recycled so steady-state save/release
-  // cycles stop allocating once the registry has warmed up.
-  std::vector<Snapshot> saved_;
-  std::vector<size_t> free_slots_;
-};
-
-// The previous std::vector implementation, kept verbatim as the parity
-// and throughput baseline for the pooled version (tests/pooled_stack_test,
-// bench_incremental): same states, same peak accounting, same underflow
-// tolerance, but per-open reallocation amortized by the vector and no
-// O(1) snapshots.
-class VectorStackQueryEvaluator final : public StreamMachine {
- public:
-  explicit VectorStackQueryEvaluator(const Dfa* dfa) : dfa_(dfa) { Reset(); }
-
-  void Reset() override {
-    stack_.clear();
-    state_ = dfa_->initial;
-    max_stack_depth_ = 0;
-    underflow_closes_ = 0;
-  }
-
-  void OnOpen(Symbol symbol) override {
-    stack_.push_back(state_);
-    if (stack_.size() > max_stack_depth_) max_stack_depth_ = stack_.size();
-    state_ = dfa_->Next(state_, symbol);
-  }
-
-  void OnClose(Symbol /*symbol*/) override {
-    if (stack_.empty()) {
-      ++underflow_closes_;
-      return;
-    }
-    state_ = stack_.back();
-    stack_.pop_back();
-  }
-
-  bool InAcceptingState() const override { return dfa_->accepting[state_]; }
-
-  int64_t StackDepthPeak() const override {
-    return static_cast<int64_t>(max_stack_depth_);
-  }
-  int64_t StackUnderflowCloses() const override {
-    return static_cast<int64_t>(underflow_closes_);
-  }
-
-  size_t max_stack_depth() const { return max_stack_depth_; }
-  size_t depth() const { return stack_.size(); }
-  size_t underflow_closes() const { return underflow_closes_; }
-  int state() const { return state_; }
-
- private:
-  const Dfa* dfa_;
-  std::vector<int> stack_;
-  int state_ = 0;
-  size_t max_stack_depth_ = 0;
-  size_t underflow_closes_ = 0;
+  int64_t underflow_closes_ = 0;
 };
 
 }  // namespace sst

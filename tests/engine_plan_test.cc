@@ -8,9 +8,11 @@
 #include <vector>
 
 #include "automata/alphabet.h"
+#include "automata/minimize.h"
 #include "core/stackless.h"
 #include "engine/query_plan.h"
 #include "engine/session.h"
+#include "eval/stack_evaluator.h"
 #include "query/rpq.h"
 #include "test_util.h"
 #include "trees/encoding.h"
@@ -188,6 +190,122 @@ TEST(SessionPool, SteadyStateStreamingIsAllocationFree) {
   int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(after - before, 0)
       << "a warm acquire/stream/release cycle must be allocation-free";
+}
+
+// The pushdown tier keeps its per-level states in one flat column that
+// keeps its capacity across Reset, like the validator labels: once a
+// warm-up document has sized both, pooled sessions stream documents of no
+// greater depth, in any chunking, and save and restore checkpoints
+// without touching the heap.
+TEST(SessionPool, StackTierSteadyStateIsAllocationFree) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  auto plan = CompileXPath("//a/b", alphabet);
+  ASSERT_EQ(plan->kind(), EvaluatorKind::kStackBaseline);
+  SessionPool pool(plan, /*max_idle=*/4);
+  // A spine deeper than the label reserve, then a bushy tail.
+  std::string text;
+  for (int d = 0; d < 1500; ++d) text.push_back("abc"[d % 3]);
+  text += "abBAcC";
+  for (int d = 1499; d >= 0; --d) text.push_back("ABC"[d % 3]);
+  text.insert(text.size() - 1, "bBabBAbB");
+  auto stream = [&](Session* session, SelectorCheckpoint* cp) {
+    for (size_t i = 0; i < text.size(); i += 700) {
+      ASSERT_TRUE(session->Feed(std::string_view(text).substr(i, 700)));
+      if (i == 700) ASSERT_TRUE(session->selector().SaveCheckpoint(cp));
+    }
+    ASSERT_TRUE(session->Finish());
+    ASSERT_TRUE(session->selector().RestoreCheckpoint(*cp));
+    ASSERT_TRUE(session->Feed(std::string_view(text).substr(1400)));
+    ASSERT_TRUE(session->Finish());
+  };
+  SelectorCheckpoint cp;
+  int64_t warm_matches = 0;
+  {
+    auto session = pool.Acquire();
+    ASSERT_EQ(session->selector().active_tier(),
+              StreamingSelector::Tier::kFusedByteTable);
+    stream(session.get(), &cp);
+    warm_matches = session->matches();
+    EXPECT_EQ(session->stats().max_stack_depth, 1502);
+    pool.Release(std::move(session));
+  }
+  EXPECT_GT(warm_matches, 0);
+  int64_t before = g_heap_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 8; ++i) {
+    auto session = pool.Acquire();
+    stream(session.get(), &cp);
+    EXPECT_EQ(session->matches(), warm_matches);
+    pool.Release(std::move(session));
+  }
+  int64_t after = g_heap_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0)
+      << "a warm stack-tier stream with checkpoints must not allocate";
+}
+
+// The stack machine's checkpoint is its state and column: equal after an
+// equivalent rebuild, unequal after a divergence, restored exactly (peak
+// re-based at the restored depth), malformed configs rejected; Reset
+// empties the column and the diagnostics.
+TEST(StackTier, CheckpointRoundTripAndReset) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  Dfa dfa = CompileRegex("a(b|c)*", alphabet);
+  StackQueryEvaluator machine(&dfa);
+  machine.OnOpen(0);
+  machine.OnOpen(1);
+  machine.OnOpen(2);
+  std::vector<int64_t> config;
+  ASSERT_TRUE(machine.SaveConfig(&config));
+  EXPECT_TRUE(machine.ConfigEqualsCurrent(config));
+  const bool accepting_at_save = machine.InAcceptingState();
+
+  machine.OnClose(2);
+  EXPECT_FALSE(machine.ConfigEqualsCurrent(config));
+  machine.OnOpen(2);
+  EXPECT_TRUE(machine.ConfigEqualsCurrent(config));
+  machine.OnOpen(1);
+  machine.OnOpen(1);
+  EXPECT_FALSE(machine.ConfigEqualsCurrent(config));
+  EXPECT_EQ(machine.max_stack_depth(), 5u);
+
+  ASSERT_TRUE(machine.RestoreConfig(config));
+  EXPECT_TRUE(machine.ConfigEqualsCurrent(config));
+  EXPECT_EQ(machine.depth(), 3u);
+  EXPECT_EQ(machine.InAcceptingState(), accepting_at_save);
+  EXPECT_EQ(machine.max_stack_depth(), 3u);
+  EXPECT_FALSE(machine.RestoreConfig({}));
+  EXPECT_FALSE(machine.ConfigEqualsCurrent({}));
+
+  // Underflow tolerance, then Reset.
+  for (int i = 0; i < 5; ++i) machine.OnClose(0);
+  EXPECT_EQ(machine.depth(), 0u);
+  EXPECT_EQ(machine.underflow_closes(), 2u);
+  machine.Reset();
+  EXPECT_EQ(machine.depth(), 0u);
+  EXPECT_EQ(machine.max_stack_depth(), 0u);
+  EXPECT_EQ(machine.underflow_closes(), 0u);
+  EXPECT_EQ(machine.ExportedState(), dfa.initial);
+
+  // Through the selector: a Session reset mid-document and one restored
+  // from a mid-document checkpoint both finish with a fresh run's answer.
+  auto plan = CompileXPath("//a/b", alphabet);
+  const std::string text = "abcabBACBbBcCA";
+  Session fresh(plan);
+  ASSERT_TRUE(fresh.Feed(text) && fresh.Finish());
+  Session session(plan);
+  ASSERT_TRUE(session.Feed(text.substr(0, 7)));
+  session.Reset();
+  ASSERT_TRUE(session.Feed(text) && session.Finish());
+  EXPECT_EQ(session.matches(), fresh.matches());
+  session.Reset();
+  ASSERT_TRUE(session.Feed(text.substr(0, 5)));
+  SelectorCheckpoint cp;
+  ASSERT_TRUE(session.selector().SaveCheckpoint(&cp));
+  ASSERT_TRUE(session.Feed("bBbB"));
+  ASSERT_TRUE(session.selector().RestoreCheckpoint(cp));
+  EXPECT_TRUE(session.selector().CheckpointConverged(cp, 0));
+  ASSERT_TRUE(session.Feed(text.substr(5)) && session.Finish());
+  EXPECT_EQ(session.matches(), fresh.matches());
+  EXPECT_EQ(session.stats().max_stack_depth, fresh.stats().max_stack_depth);
 }
 
 TEST(SessionPool, BoundsIdleListAndSharesOnePlan) {

@@ -363,13 +363,16 @@ std::vector<std::vector<size_t>> KernelSchedules(size_t size, int64_t focus,
 
 // The fused kernel runs every compact-markup Feed of a registerless
 // Session on the byte table, of a kFusedProduct BatchSession on the
-// product table, of a stackless Session on its fused DRA, and of a mixed
+// product table, of a stackless Session on its fused DRA, of a stack
+// Session on its open table beside the state column, and of a mixed
 // BatchSession on the registerless sub-product's table (when the batch has
 // product members) plus one fused DRA per stackless member. Under every
 // recovery policy, limit set, fault kind and chunking (1-byte chunks
 // included), each must report what the generic tier reports on the same
-// bytes and schedule, and on fail-fast what the validated one-scan runners
-// report.
+// bytes and schedule — every StreamStats counter, the peak stack and
+// underflow count included — and on fail-fast what the validated one-scan
+// runners report (the one-scan pushdown runner, for the stack Session, on
+// the documents that stream cleanly).
 TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   Alphabet alphabet = Alphabet::FromLetters("abc");
   auto plan = QueryPlan::Compile(Rpq::FromXPath("/a//b", alphabet), {});
@@ -384,6 +387,10 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   auto stackless_plan =
       QueryPlan::Compile(Rpq::FromXPath("/a/b", alphabet), {});
   ASSERT_NE(stackless_plan->fused_dra(), nullptr);
+  auto stack_plan = QueryPlan::Compile(Rpq::FromXPath("//a/b", alphabet), {});
+  ASSERT_EQ(stack_plan->kind(), EvaluatorKind::kStackBaseline);
+  ASSERT_NE(stack_plan->stack_table(), nullptr);
+  ASSERT_EQ(stack_plan->fused(), nullptr);
   // Mixed batches with product members, and all stackless (no table).
   const std::vector<std::shared_ptr<const MultiQueryPlan>> mixed_plans = {
       MultiQueryPlan::Compile({{QuerySyntax::kXPath, "/a//b"},
@@ -402,7 +409,10 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   Session session(plan);
   BatchSession batch(batch_plan);
   Session stackless(stackless_plan);
+  Session stack(stack_plan);
   ASSERT_TRUE(session.selector().using_fused_fast_path());
+  ASSERT_EQ(stack.selector().active_tier(),
+            StreamingSelector::Tier::kFusedByteTable);
   ASSERT_TRUE(batch.runner()->selector().using_fused_fast_path());
   ASSERT_EQ(stackless.selector().active_tier(),
             StreamingSelector::Tier::kFusedDraTable);
@@ -422,6 +432,13 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   ASSERT_FALSE(generic.using_fused_fast_path());
   ASSERT_FALSE(generic_batch.selector().using_fused_fast_path());
   ASSERT_EQ(generic_stackless.active_tier(),
+            StreamingSelector::Tier::kGenericMachine);
+  std::unique_ptr<StreamMachine> generic_stack_machine =
+      stack_plan->NewMachine();
+  StreamingSelector generic_stack(
+      generic_stack_machine.get(), StreamFormat::kCompactMarkup, &alphabet,
+      &stack_plan->scanner_tables(), /*fused=*/nullptr);
+  ASSERT_EQ(generic_stack.active_tier(),
             StreamingSelector::Tier::kGenericMachine);
 
   // One kernel mixed BatchSession per mixed plan, each beside the same
@@ -470,7 +487,7 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
       for (StreamingSelector* selector :
            {&session.selector(), &generic, &batch.runner()->selector(),
             &generic_batch.selector(), &stackless.selector(),
-            &generic_stackless}) {
+            &generic_stackless, &stack.selector(), &generic_stack}) {
         selector->set_recovery_policy(policy);
         selector->set_limits(limits);
       }
@@ -514,6 +531,15 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
             generic_stackless, generic_stackless, pieces,
             [&] { return std::vector<int64_t>{generic_stackless.matches()}; });
         ASSERT_EQ(fused_stackless, slow_stackless) << label << " stackless";
+        stack.Reset();
+        generic_stack.Reset();
+        KernelOutcome fused_stack = DriveKernel(
+            stack, stack.selector(), pieces,
+            [&] { return std::vector<int64_t>{stack.matches()}; });
+        KernelOutcome slow_stack = DriveKernel(
+            generic_stack, generic_stack, pieces,
+            [&] { return std::vector<int64_t>{generic_stack.matches()}; });
+        ASSERT_EQ(fused_stack, slow_stack) << label << " stack";
         std::vector<KernelOutcome> fused_mixed;
         for (size_t m = 0; m < mixed.size(); ++m) {
           MixedPair& pair = mixed[m];
@@ -551,6 +577,21 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
         ASSERT_EQ(stackless.selector().nodes(), stackless_oracle.nodes)
             << label;
         ASSERT_EQ(stackless.matches(), stackless_oracle.matches) << label;
+        // The stack tier shares the framing oracle; on documents that
+        // stream cleanly, the one-scan pushdown runner also answers its
+        // count and its peak stack.
+        ASSERT_EQ(fused_stack.error, single_oracle.error) << label;
+        const StreamStats stack_stats = stack.stats();
+        ASSERT_EQ(stack_stats.events, single_oracle.events) << label;
+        ASSERT_EQ(stack_stats.max_depth, single_oracle.max_depth) << label;
+        ASSERT_EQ(stack_stats.underflow_closes, 0) << label;
+        if (fused_stack.finished) {
+          ByteStackRunner one_scan(stack_plan->minimal_dfa());
+          ASSERT_EQ(stack.matches(), one_scan.CountSelections(doc)) << label;
+          ASSERT_EQ(stack_stats.max_stack_depth,
+                    static_cast<int64_t>(one_scan.max_stack_depth()))
+              << label;
+        }
         for (size_t m = 0; m < mixed.size(); ++m) {
           const MultiValidatedRun& oracle = mixed_oracles[m];
           ASSERT_EQ(fused_mixed[m].error, oracle.error) << label;
@@ -585,6 +626,7 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
     docs.push_back(open + "bB cC" + close);
   }
   int64_t stackless_matches = 0;
+  int64_t stack_matches = 0;
   int64_t mixed_matches = 0;
   for (size_t d = 0; d < docs.size(); ++d) {
     const std::string& doc = docs[d];
@@ -592,6 +634,8 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
     ValidatedRun clean = plan->fused()->RunValidated(doc);
     ASSERT_TRUE(clean.ok()) << what;
     stackless_matches += stackless_plan->fused_dra()->RunValidated(doc).matches;
+    stack_matches +=
+        ByteStackRunner(stack_plan->minimal_dfa()).CountSelections(doc);
     for (MixedPair& pair : mixed) {
       for (int64_t count : pair.fused->runner()->RunValidated(doc).matches) {
         mixed_matches += count;
@@ -627,6 +671,7 @@ TEST(Fuzz, FusedKernelMatchesValidatedRunnersAndGenericTier) {
   }
   // The DRA members select on the clean documents, so the match paths ran.
   EXPECT_GT(stackless_matches, 0);
+  EXPECT_GT(stack_matches, 0);
   EXPECT_GT(mixed_matches, 0);
 }
 

@@ -117,7 +117,8 @@ struct RunResult {
 };
 
 // The oracle: a fresh plain selector (no checkpoints, no resume) scanning
-// the whole document in one Feed.
+// the whole document in one Feed. It gets no stack_table(), so stack plans
+// resume and rescan on the kernel and are diffed against the generic tier.
 RunResult FullRescan(const QueryPlan& plan, RecoveryPolicy policy,
                      const StreamLimits& limits, std::string_view doc) {
   auto machine = plan.NewMachine();
@@ -197,8 +198,8 @@ void ExpectParity(const RunResult& got, const RunResult& want,
 
 // The core property loop: scan a document, then apply a chain of edits,
 // checking full-rescan parity after the initial scan and after every
-// Compact-markup registerless and stackless sessions scan and resume on
-// the fused kernel; only a recovery can demote them (to the generic tier).
+// Compact-markup sessions of every tier scan and resume on the fused
+// kernel; only a recovery can demote them (to the generic tier).
 void ExpectKernelTier(const QueryPlan& plan, StreamFormat format,
                       RecoveryPolicy policy,
                       const IncrementalSession& session,
@@ -207,13 +208,11 @@ void ExpectKernelTier(const QueryPlan& plan, StreamFormat format,
       policy == RecoveryPolicy::kSkipMalformedSubtree) {
     return;
   }
-  if (plan.kind() == EvaluatorKind::kStackless) {
-    EXPECT_EQ(session.active_tier(), StreamingSelector::Tier::kFusedDraTable)
-        << ctx;
-  } else if (plan.kind() == EvaluatorKind::kRegisterless) {
-    EXPECT_EQ(session.active_tier(), StreamingSelector::Tier::kFusedByteTable)
-        << ctx;
-  }
+  EXPECT_EQ(session.active_tier(),
+            plan.kind() == EvaluatorKind::kStackless
+                ? StreamingSelector::Tier::kFusedDraTable
+                : StreamingSelector::Tier::kFusedByteTable)
+      << ctx;
 }
 
 // edit. `corrupt_every` > 0 makes every corrupt_every-th edit a

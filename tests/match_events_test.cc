@@ -1064,6 +1064,43 @@ TEST(MatchEvents, MixedBatchMatchesGenericTier) {
   }
 }
 
+// The pushdown tier runs a stack Session on its open table beside the
+// state column. The span, verdict-only and callback logs must equal those
+// of the same plan's machine behind a selector with no kernel table —
+// clean, faulted (with mid-chunk demotion under kSkipMalformedSubtree),
+// under every chunking.
+TEST(MatchEvents, StackTierMatchesGenericTier) {
+  Alphabet alphabet = Alphabet::FromLetters("abc");
+  for (const char* xpath : {"//a/b", "//b//a/c"}) {
+    auto plan = CompileXPath(xpath, alphabet);
+    ASSERT_EQ(plan->kind(), EvaluatorKind::kStackBaseline) << xpath;
+    Session session(plan);
+    ASSERT_EQ(session.selector().active_tier(),
+              StreamingSelector::Tier::kFusedByteTable);
+    std::unique_ptr<StreamMachine> machine = plan->NewMachine();
+    StreamingSelector generic(machine.get(), StreamFormat::kCompactMarkup,
+                              &alphabet, &plan->scanner_tables(),
+                              /*fused=*/nullptr);
+    ASSERT_EQ(generic.active_tier(),
+              StreamingSelector::Tier::kGenericMachine);
+    const int64_t clean_matches = ExpectBatchPathsMatch(
+        CleanAndFaultedTexts(alphabet, 2026),
+        [&](std::string_view text, size_t chunk, RecoveryPolicy policy) {
+          return RunBatchPaths(
+              session.selector(),
+              [&] { return std::vector<int64_t>{session.matches()}; }, text,
+              chunk, policy);
+        },
+        [&](std::string_view text, size_t chunk, RecoveryPolicy policy) {
+          return RunBatchPaths(
+              generic,
+              [&] { return std::vector<int64_t>{generic.matches()}; }, text,
+              chunk, policy);
+        });
+    EXPECT_GT(clean_matches, 0) << xpath;
+  }
+}
+
 // --- Wire codec and metrics ----------------------------------------------
 
 TEST(MatchWire, EncodeParseRoundtrip) {
