@@ -32,9 +32,7 @@ IncrementalSession::IncrementalSession(std::shared_ptr<const QueryPlan> plan,
     : plan_(std::move(plan)),
       machine_(plan_->NewMachine()),
       selector_(machine_.get(), plan_->options().format, &plan_->alphabet(),
-                &plan_->scanner_tables(),
-                plan_->fused() != nullptr ? plan_->fused()
-                                          : plan_->stack_table(),
+                &plan_->scanner_tables(), plan_->kernel_table(),
                 plan_->fused_dras()),
       options_(options) {
   SST_CHECK_MSG(machine_ != nullptr,

@@ -123,6 +123,12 @@ class QueryPlan {
   // as a counting oracle, which this table is not (it cannot pop).
   const ByteTagDfaRunner* stack_table() const { return stack_table_.get(); }
 
+  // The byte table a Session's selector steps in its fused kernel:
+  // fused() when present, else stack_table(); null when neither exists.
+  const ByteTagDfaRunner* kernel_table() const {
+    return fused_ != nullptr ? fused_.get() : stack_table_.get();
+  }
+
   // Per-byte scanner classification for options().format.
   const ScannerTables& scanner_tables() const { return scanner_tables_; }
 

@@ -8,9 +8,7 @@ Session::Session(std::shared_ptr<const QueryPlan> plan)
     : plan_(std::move(plan)),
       machine_(plan_->NewMachine()),
       selector_(machine_.get(), plan_->options().format, &plan_->alphabet(),
-                &plan_->scanner_tables(),
-                plan_->fused() != nullptr ? plan_->fused()
-                                          : plan_->stack_table(),
+                &plan_->scanner_tables(), plan_->kernel_table(),
                 plan_->fused_dras()) {
   SST_CHECK_MSG(machine_ != nullptr,
                 "Session requires an exact plan (plan->exact())");
